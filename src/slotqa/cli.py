@@ -446,6 +446,19 @@ _REPLAY = {
 }
 
 
+def _same_bytes(a: Path, b: Path, block: int = 1 << 20) -> bool:
+    """Whether two files hold the same bytes, read a block at a time."""
+    if a.stat().st_size != b.stat().st_size:
+        return False
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        while True:
+            chunk = fa.read(block)
+            if chunk != fb.read(block):
+                return False
+            if not chunk:
+                return True
+
+
 def cmd_replay(args) -> int:
     with open(args.log, "r", encoding="utf-8") as f:
         try:
@@ -485,7 +498,7 @@ def cmd_replay(args) -> int:
                         file=sys.stderr,
                     )
                     return 2
-                if recorded.read_bytes() != candidate.read_bytes():
+                if not _same_bytes(recorded, candidate):
                     print(f"MISMATCH: step {i} ({operation}) does not reproduce {recorded}")
                     mismatches += 1
                 else:

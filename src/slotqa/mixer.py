@@ -9,11 +9,15 @@ smaller size is a subset of the sample at any larger size.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import random
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .model import Dataset, DataError, ParseError, TransformReport, sidecar_path
 
@@ -143,22 +147,145 @@ def mix(spec: MixSpec, base: Dataset, augment: Dataset) -> list[Dataset]:
     return outputs
 
 
-def _scan_ids(path: str | Path) -> list[str]:
-    """Instance ids of a JSONL file, one pass, without building instances."""
+# Each scan worker gets at least this many bytes. Starting a spawned worker
+# costs about 0.2 s of wall time, so on 2 cores a parallel scan only wins
+# from about 32 MB of input; smaller files are scanned in this process.
+_RANGE_MIN_BYTES = 16 << 20
+_BLOCK_BYTES = 1 << 18
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _line_blocks(path: Path, start: int = 0, stop: int | None = None) -> Iterator[list[bytes]]:
+    """The lines of bytes ``[start, stop)`` of a file, one list per block read.
+
+    Lines split as text mode's universal newlines split them (``\\n``,
+    ``\\r\\n`` or a bare ``\\r``) and come without their terminators. A
+    block is cut only at a line boundary, never inside a ``\\r\\n`` pair.
+    """
+    with open(path, "rb") as f:
+        f.seek(start)
+        remaining = (os.fstat(f.fileno()).st_size if stop is None else stop) - start
+        carry = b""
+        while True:
+            # reading at least as much as is carried keeps assembling a long line linear
+            chunk = f.read(min(max(_BLOCK_BYTES, len(carry)), remaining))
+            if not chunk:
+                if carry:
+                    yield carry.splitlines()
+                return
+            remaining -= len(chunk)
+            data = carry + chunk
+            # a final \r may be the first half of \r\n, so never cut right after it
+            cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+            if cut:
+                yield data[:cut].splitlines()
+            carry = data[cut:]
+
+
+def _ranges(path: Path, parts: int) -> list[tuple[int, int]]:
+    """At most ``parts`` byte ranges covering a file, each ending after a ``\\n``."""
+    size = os.path.getsize(path)
+    bounds = [0]
+    with open(path, "rb") as f:
+        for k in range(1, parts):
+            f.seek(max(size * k // parts, bounds[-1]))
+            f.readline()
+            if f.tell() >= size:
+                break
+            bounds.append(f.tell())
+    bounds.append(size)
+    return list(zip(bounds, bounds[1:]))
+
+
+def _scan_range(
+    path: Path, start: int, stop: int, base_ids: set[str] | None
+) -> tuple[int, list[str], str | None]:
+    """Validate the JSONL lines in bytes ``[start, stop)`` of a file.
+
+    Returns ``(line count, ids, error)``. The ids are those also in
+    ``base_ids``, or every id when ``base_ids`` is None. ``error`` is None,
+    or the message for the first invalid line; the scan stops there, so
+    that line is the last one counted. Runs in a worker process on large
+    inputs, so it takes and returns only picklable values.
+    """
+    raw_decode = json.JSONDecoder().raw_decode
+    count = 0
     ids = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                raise ParseError(f"{path}: line {lineno}: empty line")
+    for lines in _line_blocks(path, start, stop):
+        for line in lines:
+            count += 1
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON: {e}") from e
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return count, ids, f"invalid UTF-8 at byte {e.start}: {e.reason}"
+            if not text:
+                return count, ids, "empty line"
+            # raw_decode is json.loads without the whitespace and trailing-data
+            # handling; any line it does not take whole goes to json.loads
+            try:
+                obj, end = raw_decode(text)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(text):
+                try:
+                    obj = json.loads(text)
+                except json.JSONDecodeError as e:
+                    return count, ids, f"invalid JSON: {e}"
             if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
-                raise ParseError(f"{path}: line {lineno}: missing string field 'id'")
-            ids.append(obj["id"])
-    return ids
+                return count, ids, "missing string field 'id'"
+            if base_ids is None or obj["id"] in base_ids:
+                ids.append(obj["id"])
+    return count, ids, None
+
+
+def _scan(path: Path, base_ids: set[str] | None, parts: int, pool) -> tuple[int, list[str]]:
+    """Line count and ids (as in :func:`_scan_range`) of a whole JSONL file.
+
+    With a pool, the file is split into ``parts`` ranges scanned in
+    parallel. The first invalid line in file order raises
+    :class:`ParseError` with its line number in the whole file.
+    """
+    starts, stops = zip(*_ranges(path, parts))
+    run = pool.map if pool is not None and len(starts) > 1 else map
+    count = 0
+    ids: list[str] = []
+    for lines, found, error in run(_scan_range, repeat(path), starts, stops, repeat(base_ids)):
+        count += lines
+        if error is not None:
+            raise ParseError(f"{path}: line {count}: {error}")
+        ids.extend(found)
+    return count, ids
+
+
+def _scan_pool(workers: int):
+    """A pool of ``workers`` processes, or a null context for fewer than two."""
+    if workers < 2:
+        return contextlib.nullcontext()
+    # imported here so that commands which never scan a large file do not pay for it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+
+
+def _sidecar_meta(path: Path) -> dict:
+    side = sidecar_path(path)
+    if not side.exists():
+        return {}
+    try:
+        with open(side, "r", encoding="utf-8") as f:
+            meta = json.load(f)
+    except ValueError as e:
+        raise ParseError(f"{side}: invalid JSON: {e}") from e
+    if not isinstance(meta, dict) or not isinstance(meta.get("provenance_log", []), list):
+        raise ParseError(f"{side}: expected an object with a provenance_log array")
+    return meta
 
 
 def mix_files(
@@ -170,34 +297,24 @@ def mix_files(
     """Streaming variant of :func:`mix` for large files.
 
     Lines are copied verbatim, so inputs must already be canonical JSONL.
-    Selection is identical to the in-memory mix under the same seed. Memory
-    stays bounded by the id index and the permutation, never by instance
-    objects.
+    Selection is identical to the in-memory mix under the same seed. Each
+    input is read twice, whatever the number of sizes: once to validate
+    every line and count the augment, once to copy. Files of 32 MiB or
+    more are validated by worker processes, one per available CPU and per
+    16 MiB. Memory stays bounded by the base ids and a rank table of 4
+    bytes per augment line, never by instance objects.
     """
     spec.validate()
     base_path, augment_path = Path(base_path), Path(augment_path)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    base_ids = set(_scan_ids(base_path))
-    augment_ids = _scan_ids(augment_path)
-    colliding = sorted(base_ids & set(augment_ids))
-    if colliding:
-        raise DataError(
-            f"{len(colliding)} instance ids occur in both base and augment: {colliding[:10]}"
-        )
-    population = len(augment_ids)
-    del augment_ids
-
-    permutation = list(range(population))
-    random.Random(spec.seed).shuffle(permutation)
-
-    def _sidecar_meta(path: Path) -> dict:
-        side = sidecar_path(path)
-        if not side.exists():
-            return {}
-        with open(side, "r", encoding="utf-8") as f:
-            return json.load(f)
+    names = [f"{spec.base}+{spec.augment}@{k}" for k in spec.sizes]
+    out_paths = [out_dir / f"{name}.jsonl" for name in names]
+    # every output is truncated before the inputs are read
+    for out_path in out_paths:
+        for written in (out_path, sidecar_path(out_path)):
+            for source in (base_path, augment_path):
+                if written.exists() and source.exists() and written.samefile(source):
+                    raise ParseError(f"output {written} would overwrite input {source}")
 
     base_meta = _sidecar_meta(base_path)
     base_log = tuple(base_meta.get("provenance_log", ()))
@@ -209,22 +326,53 @@ def mix_files(
             f"{base_token!r} vs {augment_token!r}"
         )
 
+    cpus = _available_cpus()
+    base_parts, augment_parts = (
+        max(1, min(cpus, os.path.getsize(path) // _RANGE_MIN_BYTES))
+        for path in (base_path, augment_path)
+    )
+    with _scan_pool(max(base_parts, augment_parts)) as pool:
+        base_ids = set(_scan(base_path, None, base_parts, pool)[1])
+        population, colliding = _scan(augment_path, base_ids, augment_parts, pool)
+    if colliding:
+        colliding = sorted(set(colliding))
+        raise DataError(
+            f"{len(colliding)} instance ids occur in both base and augment: {colliding[:10]}"
+        )
+
+    # rank[i] is the position of augment line i in the seeded permutation;
+    # the output of size k takes exactly the lines ranked below k
+    order = array("I", range(population))
+    random.Random(spec.seed).shuffle(order)
+    rank = array("I", bytes(order.itemsize * population))
+    for position, index in enumerate(order):
+        rank[index] = position
+    del order
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with contextlib.ExitStack() as stack:
+        outs = [stack.enter_context(open(path, "wb")) for path in out_paths]
+        for lines in _line_blocks(base_path):
+            if lines:
+                data = b"\n".join(lines) + b"\n"
+                for out in outs:
+                    out.write(data)
+        first = 0
+        for lines in _line_blocks(augment_path):
+            ranks = rank[first : first + len(lines)]
+            first += len(lines)
+            for k, out in zip(spec.sizes, outs):
+                kept = lines if k >= population else [
+                    line for line, r in zip(lines, ranks) if r < k
+                ]
+                if kept:
+                    out.write(b"\n".join(kept) + b"\n")
+    if first != population:
+        raise DataError(f"{augment_path}: changed while being mixed")
+
     results = []
-    for k in spec.sizes:
+    for k, name, out_path in zip(spec.sizes, names, out_paths):
         taken = min(k, population)
-        selected = bytearray(population)
-        for index in permutation[:taken]:
-            selected[index] = 1
-        name = f"{spec.base}+{spec.augment}@{k}"
-        out_path = out_dir / f"{name}.jsonl"
-        with open(out_path, "w", encoding="utf-8", newline="\n") as out:
-            with open(base_path, "r", encoding="utf-8") as f:
-                for line in f:
-                    out.write(line if line.endswith("\n") else line + "\n")
-            with open(augment_path, "r", encoding="utf-8") as f:
-                for i, line in enumerate(f):
-                    if selected[i]:
-                        out.write(line if line.endswith("\n") else line + "\n")
         parameters: dict[str, Any] = {
             "base": spec.base,
             "augment": spec.augment,

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from slotqa import Prediction, load_dataset, read_predictions, write_predictions
-from slotqa.cli import main
+from slotqa.cli import _same_bytes, main
 from slotqa.model import sidecar_path
 
 SQUAD_DOC = {
@@ -216,6 +216,90 @@ def test_mix_cli_roundtrip(tmp_path, uwre_file):
     assert {i.id for i in small} <= {i.id for i in large}
     assert main(["validate", "--in", str(out_dir / "dev+train@2.jsonl")]) == 0
     assert main(["replay", "--log", str(sidecar_path(out_dir / "dev+train@2.jsonl"))]) == 0
+
+
+def _mix_args(tmp_path, base, augment, sizes):
+    config = tmp_path / "mix.json"
+    config.write_text(
+        json.dumps({"base": "b", "augment": "a", "seed": 1, "sizes": sizes}), encoding="utf-8"
+    )
+    return [
+        "mix", "--config", str(config),
+        "--base", str(base), "--augment", str(augment), "--out-dir", str(tmp_path / "out"),
+    ]
+
+
+def _jsonl(path, ids):
+    line = (
+        '{"id":"%s","question":"q","context":"c","answers":[],"relation":null,'
+        '"subject_entity":null,"origin":"synthetic","split":"train"}\n'
+    )
+    path.write_bytes("".join(line % i for i in ids).encode("utf-8"))
+
+
+def test_mix_invalid_utf8_is_a_parse_error(tmp_path):
+    base, augment = tmp_path / "base.jsonl", tmp_path / "augment.jsonl"
+    _jsonl(base, ["b0"])
+    _jsonl(augment, ["a0", "a1", "a2"])
+    augment.write_bytes(augment.read_bytes().replace(b'"a1"', b'"a\xc3("'))
+    proc = subprocess.run(
+        [sys.executable, "-m", "slotqa", *_mix_args(tmp_path, base, augment, [2])],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{augment}: line 2: invalid UTF-8" in proc.stderr
+
+
+def test_mix_usage_errors_exit_2(tmp_path, capsys):
+    base, augment = tmp_path / "base.jsonl", tmp_path / "augment.jsonl"
+    _jsonl(base, ["b0"])
+    _jsonl(augment, ["a0", "a1", "a2"])
+    sidecar_path(base).write_text('{"provenance_log": ', encoding="utf-8")
+    assert main(_mix_args(tmp_path, base, augment, [2])) == 2
+    assert f"{sidecar_path(base)}: invalid JSON" in capsys.readouterr().err
+    sidecar_path(base).unlink()
+
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "b+a@2.jsonl").symlink_to(augment)
+    kept = augment.read_bytes()
+    assert main(_mix_args(tmp_path, base, augment, [2])) == 2
+    assert "would overwrite input" in capsys.readouterr().err
+    assert augment.read_bytes() == kept
+
+
+def test_same_bytes_compares_block_by_block(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for left, right, same in [
+        (b"", b"", True),
+        (b"abcdefghij", b"abcdefghij", True),
+        (b"abcdefghij", b"abcdefghiJ", False),
+        (b"abcdefghij", b"abcdefghi", False),
+        (b"Abcdefghij", b"abcdefghij", False),
+    ]:
+        a.write_bytes(left)
+        b.write_bytes(right)
+        for block in (1, 3, 4, 10, 1 << 20):
+            assert _same_bytes(a, b, block) is same
+
+
+def test_replay_catches_a_late_one_byte_difference(tmp_path, capsys):
+    base, augment = tmp_path / "base.jsonl", tmp_path / "augment.jsonl"
+    _jsonl(base, ["b0"])
+    _jsonl(augment, [f"a{i:05d}" for i in range(10000)])
+    assert main(_mix_args(tmp_path, base, augment, [9000])) == 0
+    out = tmp_path / "out" / "b+a@9000.jsonl"
+    assert out.stat().st_size > 1 << 20
+    log = str(sidecar_path(out))
+    assert main(["replay", "--log", log]) == 0
+    assert "ok: step 0 (mix)" in capsys.readouterr().out
+
+    data = bytearray(out.read_bytes())
+    data[-20] ^= 1
+    out.write_bytes(bytes(data))
+    assert main(["replay", "--log", log]) == 1
+    assert f"MISMATCH: step 0 (mix) does not reproduce {out}" in capsys.readouterr().out
 
 
 def test_replay_confirms_then_catches_tampering(tmp_path, squad_file, capsys):

@@ -1,8 +1,14 @@
+import contextlib
 import json
 import random
+import tempfile
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from slotqa import mixer
 from slotqa import (
     DataError,
     MixSpec,
@@ -15,7 +21,7 @@ from slotqa import (
     write_dataset,
 )
 from slotqa.mixer import DEFAULT_SIZES
-from slotqa.model import dumps_instance
+from slotqa.model import dumps_instance, sidecar_path
 
 from helpers import make_dataset, make_instance
 
@@ -238,3 +244,217 @@ def test_mix_files_propagates_token_sidecar(tmp_path):
     written = mix_files(spec_for((4,), seed=0), tmp_path / "base.jsonl", tmp_path / "augment.jsonl", tmp_path / "o")
     loaded = load_dataset(written[0][1])
     assert loaded.no_answer_token == base.no_answer_token
+
+
+# --- the one-pass streaming mix: parallel id scan and single copy pass ---
+
+LINE = '{"id":"%s","question":"q","context":"c","answers":[],"relation":null,"subject_entity":null,"origin":"synthetic","split":"train"}'
+
+
+def text_mode_outputs(base_path, augment_path, sizes, seed):
+    """The bytes of each output as a text-mode pass per size writes them.
+
+    Lines split under universal newlines, each is written back with a
+    single LF, and the sample is the sorted prefix of one seeded shuffle.
+    """
+
+    def lines(path):
+        with open(path, "r", encoding="utf-8") as f:
+            return [line if line.endswith("\n") else line + "\n" for line in f]
+
+    base, augment = lines(base_path), lines(augment_path)
+    order = list(range(len(augment)))
+    random.Random(seed).shuffle(order)
+    return [
+        "".join(base + [augment[i] for i in sorted(order[:k])]).encode("utf-8")
+        for k in sizes
+    ]
+
+
+@pytest.fixture
+def parallel(monkeypatch):
+    """Scan every input, however small, with a pool of two worker processes.
+
+    Returns the list of pools that mix_files opened.
+    """
+    monkeypatch.setattr(mixer, "_RANGE_MIN_BYTES", 1)
+    monkeypatch.setattr(mixer, "_available_cpus", lambda: 2)
+    pools = []
+    real = mixer._scan_pool
+
+    def recording(workers):
+        pool = real(workers)
+        pools.append(pool)
+        return pool
+
+    monkeypatch.setattr(mixer, "_scan_pool", recording)
+    return pools
+
+
+def mixed_bytes(spec, base_path, augment_path, out_dir):
+    return [path.read_bytes() for _, path, _ in mix_files(spec, base_path, augment_path, out_dir)]
+
+
+def test_parallel_scan_keeps_text_mode_newlines(tmp_path, monkeypatch):
+    base = tmp_path / "base.jsonl"
+    augment = tmp_path / "augment.jsonl"
+    base.write_bytes(("\r\n".join(LINE % f"b{i}" for i in range(3)) + "\r\n").encode())
+    # CRLF, bare CR and LF endings, range boundaries next to each, no final newline
+    ends = ["\r\n", "\r", "\n", "\r", "\r\n"] * 6
+    augment.write_bytes("".join(LINE % f"a{i}" + end for i, end in enumerate(ends)).encode() + (LINE % "last").encode())
+    spec = spec_for((4, 17, 100), seed=5)
+    want = text_mode_outputs(base, augment, spec.sizes, spec.seed)
+    assert mixed_bytes(spec, base, augment, tmp_path / "serial") == want
+    for parts in range(2, 12):
+        with monkeypatch.context() as m:
+            m.setattr(mixer, "_RANGE_MIN_BYTES", 1)
+            m.setattr(mixer, "_available_cpus", lambda: parts)
+            m.setattr(mixer, "_scan_pool", lambda workers: contextlib.nullcontext())
+            assert mixed_bytes(spec, base, augment, tmp_path / f"ranges{parts}") == want
+
+
+def test_parallel_scan_through_worker_processes(tmp_path, parallel):
+    base = tmp_path / "base.jsonl"
+    augment = tmp_path / "augment.jsonl"
+    base.write_bytes(("\n".join(LINE % f"b{i}" for i in range(5)) + "\n").encode())
+    augment.write_bytes("".join(LINE % f"a{i}" + ("\r\n", "\r", "\n")[i % 3] for i in range(40)).encode()[:-1])
+    assert len(mixer._ranges(augment, 2)) == 2
+    spec = spec_for((3, 30, 50), seed=8)
+    assert mixed_bytes(spec, base, augment, tmp_path / "out") == text_mode_outputs(
+        base, augment, spec.sizes, spec.seed
+    )
+    assert parallel and all(isinstance(pool, ProcessPoolExecutor) for pool in parallel)
+
+
+BAD_LINES = {
+    "empty": b"",
+    "bad JSON": b'{"id": "x",',
+    "missing id": b'{"question": "q"}',
+    "non-string id": b'{"id": 7}',
+    "invalid UTF-8": b'{"id": "caf\xe9"}',
+    "trailing data": (LINE % "t").encode() + b" x",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_LINES))
+def test_parallel_scan_reports_the_same_error(tmp_path, monkeypatch, kind):
+    base = tmp_path / "base.jsonl"
+    augment = tmp_path / "augment.jsonl"
+    write_dataset(numbered(2, "b"), base)
+    lines = [(LINE % f"a{i:02d}").encode() for i in range(30)]
+    lines[21] = BAD_LINES[kind]
+    lines[27] = BAD_LINES[kind]
+    augment.write_bytes(b"\n".join(lines) + b"\n")
+    _, (second, stop) = mixer._ranges(augment, 2)
+    assert second <= sum(len(line) + 1 for line in lines[:21]) < stop
+    spec = spec_for((5,), seed=1)
+    with pytest.raises(ParseError) as serial:
+        mix_files(spec, base, augment, tmp_path / "serial")
+    assert f"{augment}: line 22: " in str(serial.value)
+    monkeypatch.setattr(mixer, "_RANGE_MIN_BYTES", 1)
+    monkeypatch.setattr(mixer, "_available_cpus", lambda: 2)
+    with pytest.raises(ParseError) as parallel:
+        mix_files(spec, base, augment, tmp_path / "parallel")
+    assert str(parallel.value) == str(serial.value)
+
+
+def test_parallel_scan_finds_collisions_in_every_range(tmp_path, parallel):
+    base = tmp_path / "base.jsonl"
+    augment = tmp_path / "augment.jsonl"
+    base.write_text("".join(LINE % i + "\n" for i in ("a27", "zz", "a03", "a27")), encoding="utf-8")
+    ids = [f"a{i:02d}" for i in range(30)] + ["a03"]
+    augment.write_text("".join(LINE % i + "\n" for i in ids), encoding="utf-8")
+    (_, middle), _ = mixer._ranges(augment, 2)
+    assert len(LINE % "a03") * 4 < middle < len(LINE % "a03") * 27
+    with pytest.raises(DataError) as exc:
+        mix_files(spec_for((5,), seed=1), base, augment, tmp_path / "out")
+    assert str(exc.value) == "2 instance ids occur in both base and augment: ['a03', 'a27']"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base_size=st.integers(0, 6),
+    population=st.integers(0, 40),
+    seed=st.integers(0, 2**32),
+    sizes=st.sets(st.integers(1, 60), min_size=1, max_size=5),
+    parts=st.integers(1, 6),
+)
+def test_mix_files_equals_mix_for_any_range_count(base_size, population, seed, sizes, parts):
+    base, augment = numbered(base_size, "b"), numbered(population, "a")
+    spec = spec_for(sorted(sizes), seed)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as m:
+        m.setattr(mixer, "_RANGE_MIN_BYTES", 1)
+        m.setattr(mixer, "_available_cpus", lambda: parts)
+        m.setattr(mixer, "_scan_pool", lambda workers: contextlib.nullcontext())
+        write_dataset(base, Path(tmp) / "base.jsonl")
+        write_dataset(augment, Path(tmp) / "augment.jsonl")
+        written = mix_files(spec, Path(tmp) / "base.jsonl", Path(tmp) / "augment.jsonl", Path(tmp) / "out")
+        got = [path.read_text(encoding="utf-8") for _, path, _ in written]
+    want = ["".join(dumps_instance(i) + "\n" for i in ds.instances) for ds in mix(spec, base, augment)]
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pieces=st.lists(st.sampled_from(["a", "\u00e9", "{}", "\n", "\r", "\r\n"]), max_size=40),
+    block=st.integers(1, 8),
+    parts=st.integers(1, 6),
+)
+def test_line_blocks_split_like_text_mode(pieces, block, parts):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as m:
+        m.setattr(mixer, "_BLOCK_BYTES", block)
+        path = Path(tmp) / "f.txt"
+        path.write_bytes("".join(pieces).encode("utf-8"))
+        with open(path, "r", encoding="utf-8") as f:
+            want = [line[:-1] if line.endswith("\n") else line for line in f]
+        got = [
+            line.decode("utf-8")
+            for start, stop in mixer._ranges(path, parts)
+            for lines in mixer._line_blocks(path, start, stop)
+            for line in lines
+        ]
+    assert got == want
+
+
+@pytest.mark.parametrize("aliased", ["base", "augment"])
+def test_mix_files_refuses_to_overwrite_an_input(tmp_path, aliased):
+    inputs = {"base": tmp_path / "base.jsonl", "augment": tmp_path / "augment.jsonl"}
+    write_dataset(numbered(3, "b"), inputs["base"])
+    write_dataset(numbered(9, "a"), inputs["augment"])
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "b+a@4.jsonl").symlink_to(inputs[aliased])
+    before = {name: path.read_bytes() for name, path in inputs.items()}
+    with pytest.raises(ParseError, match="would overwrite input"):
+        mix_files(spec_for((4,), seed=0), inputs["base"], inputs["augment"], out_dir)
+    assert {name: path.read_bytes() for name, path in inputs.items()} == before
+
+
+def test_mix_files_names_a_corrupt_sidecar(tmp_path):
+    base, augment = tmp_path / "base.jsonl", tmp_path / "augment.jsonl"
+    write_dataset(numbered(3, "b"), base)
+    write_dataset(numbered(9, "a"), augment)
+    sidecar_path(augment).write_text("{not json", encoding="utf-8")
+    with pytest.raises(ParseError, match="augment.jsonl.prov.json: invalid JSON"):
+        mix_files(spec_for((4,), seed=0), base, augment, tmp_path / "out")
+    sidecar_path(augment).write_text('["not", "an", "object"]', encoding="utf-8")
+    with pytest.raises(ParseError, match="augment.jsonl.prov.json"):
+        mix_files(spec_for((4,), seed=0), base, augment, tmp_path / "out")
+
+
+def test_mix_files_notices_an_augment_that_changes_after_the_scan(tmp_path, monkeypatch):
+    base, augment = tmp_path / "base.jsonl", tmp_path / "augment.jsonl"
+    write_dataset(numbered(3, "b"), base)
+    write_dataset(numbered(9, "a"), augment)
+    real_scan = mixer._scan
+
+    def scan_then_append(path, base_ids, parts, pool):
+        result = real_scan(path, base_ids, parts, pool)
+        if path == augment:
+            with open(augment, "a", encoding="utf-8") as f:
+                f.write(LINE % "late" + "\n")
+        return result
+
+    monkeypatch.setattr(mixer, "_scan", scan_then_append)
+    with pytest.raises(DataError, match="changed while being mixed"):
+        mix_files(spec_for((4,), seed=0), base, augment, tmp_path / "out")
