@@ -446,14 +446,17 @@ _REPLAY = {
 }
 
 
-def _same_bytes(a: Path, b: Path, block: int = 1 << 20) -> bool:
+_COMPARE_BYTES = 1 << 20
+
+
+def _same_bytes(a: Path, b: Path) -> bool:
     """Whether two files hold the same bytes, read a block at a time."""
     if a.stat().st_size != b.stat().st_size:
         return False
     with open(a, "rb") as fa, open(b, "rb") as fb:
         while True:
-            chunk = fa.read(block)
-            if chunk != fb.read(block):
+            chunk = fa.read(_COMPARE_BYTES)
+            if chunk != fb.read(_COMPARE_BYTES):
                 return False
             if not chunk:
                 return True

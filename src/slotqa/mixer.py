@@ -214,7 +214,6 @@ def _scan_range(
     that line is the last one counted. Runs in a worker process on large
     inputs, so it takes and returns only picklable values.
     """
-    raw_decode = json.JSONDecoder().raw_decode
     count = 0
     ids = []
     for lines in _line_blocks(path, start, stop):
@@ -226,17 +225,10 @@ def _scan_range(
                 return count, ids, f"invalid UTF-8 at byte {e.start}: {e.reason}"
             if not text:
                 return count, ids, "empty line"
-            # raw_decode is json.loads without the whitespace and trailing-data
-            # handling; any line it does not take whole goes to json.loads
             try:
-                obj, end = raw_decode(text)
-            except json.JSONDecodeError:
-                end = -1
-            if end != len(text):
-                try:
-                    obj = json.loads(text)
-                except json.JSONDecodeError as e:
-                    return count, ids, f"invalid JSON: {e}"
+                obj = json.loads(text)
+            except json.JSONDecodeError as e:
+                return count, ids, f"invalid JSON: {e}"
             if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
                 return count, ids, "missing string field 'id'"
             if base_ids is None or obj["id"] in base_ids:
@@ -264,14 +256,52 @@ def _scan(path: Path, base_ids: set[str] | None, parts: int, pool) -> tuple[int,
 
 
 def _scan_pool(workers: int):
-    """A pool of ``workers`` processes, or a null context for fewer than two."""
+    """A pool of ``workers`` processes, or a null context for fewer than two.
+
+    A daemonic process (a ``multiprocessing.Pool`` worker) may not start
+    children, so it gets the null context too.
+    """
     if workers < 2:
         return contextlib.nullcontext()
     # imported here so that commands which never scan a large file do not pay for it
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    if multiprocessing.current_process().daemon:
+        return contextlib.nullcontext()
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+
+
+def _scan_inputs(base_path: Path, augment_path: Path) -> tuple[set[str], int, list[str]]:
+    """Base ids, augment line count and colliding ids, scanned in parallel if large.
+
+    A pool that cannot start, or whose workers die, falls back to the serial
+    scan, which finds the same ids and raises the same errors.
+    """
+    cpus = _available_cpus()
+    base_parts, augment_parts = (
+        max(1, min(cpus, os.path.getsize(path) // _RANGE_MIN_BYTES))
+        for path in (base_path, augment_path)
+    )
+
+    def scan(pool) -> tuple[set[str], int, list[str]]:
+        base_ids = set(_scan(base_path, None, base_parts, pool)[1])
+        return (base_ids, *_scan(augment_path, base_ids, augment_parts, pool))
+
+    workers = max(base_parts, augment_parts)
+    try:
+        with _scan_pool(workers) as pool:
+            return scan(pool)
+    except (OSError, RuntimeError):
+        # BrokenProcessPool is a RuntimeError. So is the error a spawned worker
+        # raises when it re-imports a script that calls mix_files without an
+        # ``if __name__ == "__main__"`` guard: that worker must die of it, so
+        # its parent sees a broken pool instead of the worker mixing as well.
+        import multiprocessing
+
+        if workers < 2 or getattr(multiprocessing.current_process(), "_inheriting", False):
+            raise
+    return scan(None)
 
 
 def _sidecar_meta(path: Path) -> dict:
@@ -301,8 +331,11 @@ def mix_files(
     input is read twice, whatever the number of sizes: once to validate
     every line and count the augment, once to copy. Files of 32 MiB or
     more are validated by worker processes, one per available CPU and per
-    16 MiB. Memory stays bounded by the base ids and a rank table of 4
-    bytes per augment line, never by instance objects.
+    16 MiB; if no pool can be used, they are validated in this process.
+    Memory stays bounded by the base ids and a rank table of 4 bytes per
+    augment line, never by instance objects. Each scan worker is a separate
+    interpreter (about 22 MB of RSS on CPython 3.11) that holds its own
+    copy of the base ids.
     """
     spec.validate()
     base_path, augment_path = Path(base_path), Path(augment_path)
@@ -326,14 +359,7 @@ def mix_files(
             f"{base_token!r} vs {augment_token!r}"
         )
 
-    cpus = _available_cpus()
-    base_parts, augment_parts = (
-        max(1, min(cpus, os.path.getsize(path) // _RANGE_MIN_BYTES))
-        for path in (base_path, augment_path)
-    )
-    with _scan_pool(max(base_parts, augment_parts)) as pool:
-        base_ids = set(_scan(base_path, None, base_parts, pool)[1])
-        population, colliding = _scan(augment_path, base_ids, augment_parts, pool)
+    base_ids, population, colliding = _scan_inputs(base_path, augment_path)
     if colliding:
         colliding = sorted(set(colliding))
         raise DataError(

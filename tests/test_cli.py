@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from slotqa import Prediction, load_dataset, read_predictions, write_predictions
+from slotqa import cli
 from slotqa.cli import _same_bytes, main
 from slotqa.model import sidecar_path
 
@@ -269,7 +270,7 @@ def test_mix_usage_errors_exit_2(tmp_path, capsys):
     assert augment.read_bytes() == kept
 
 
-def test_same_bytes_compares_block_by_block(tmp_path):
+def test_same_bytes_compares_block_by_block(tmp_path, monkeypatch):
     a, b = tmp_path / "a", tmp_path / "b"
     for left, right, same in [
         (b"", b"", True),
@@ -281,7 +282,8 @@ def test_same_bytes_compares_block_by_block(tmp_path):
         a.write_bytes(left)
         b.write_bytes(right)
         for block in (1, 3, 4, 10, 1 << 20):
-            assert _same_bytes(a, b, block) is same
+            monkeypatch.setattr(cli, "_COMPARE_BYTES", block)
+            assert _same_bytes(a, b) is same
 
 
 def test_replay_catches_a_late_one_byte_difference(tmp_path, capsys):

@@ -1,8 +1,12 @@
 import contextlib
+import errno
 import json
 import random
+import subprocess
+import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -324,6 +328,95 @@ def test_parallel_scan_through_worker_processes(tmp_path, parallel):
         base, augment, spec.sizes, spec.seed
     )
     assert parallel and all(isinstance(pool, ProcessPoolExecutor) for pool in parallel)
+
+
+class _BrokenPool:
+    """A pool whose workers have died."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, *args):
+        raise BrokenProcessPool("a worker died")
+
+
+def _no_pool(workers):
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("pool", [lambda workers: _BrokenPool(), _no_pool], ids=["broken", "unstartable"])
+def test_parallel_scan_falls_back_to_a_serial_scan(tmp_path, monkeypatch, pool):
+    base = tmp_path / "base.jsonl"
+    augment = tmp_path / "augment.jsonl"
+    write_dataset(numbered(4, "b"), base)
+    augment.write_bytes("".join(LINE % f"a{i}" + ("\r\n", "\n")[i % 2] for i in range(30)).encode())
+    spec = spec_for((3, 20, 40), seed=2)
+    want = mixed_bytes(spec, base, augment, tmp_path / "serial")
+    augment_bytes = augment.read_bytes()
+    augment.write_bytes(augment_bytes.replace(b'"a25"', b"25"))
+    with pytest.raises(ParseError) as serial:
+        mix_files(spec, base, augment, tmp_path / "serial")
+    monkeypatch.setattr(mixer, "_RANGE_MIN_BYTES", 1)
+    monkeypatch.setattr(mixer, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(mixer, "_scan_pool", pool)
+    with pytest.raises(ParseError) as fallback:
+        mix_files(spec, base, augment, tmp_path / "fallback")
+    assert str(fallback.value) == str(serial.value)
+    augment.write_bytes(augment_bytes)
+    assert mixed_bytes(spec, base, augment, tmp_path / "fallback") == want
+
+
+# Scripts that call mix_files where no scan pool can be used, with every
+# input large enough for one.
+_SCRIPT_HEAD = """
+import multiprocessing, sys
+from slotqa import MixSpec, mixer
+mixer._RANGE_MIN_BYTES = 1
+mixer._available_cpus = lambda: 2
+def run(args):
+    mixer.mix_files(MixSpec(base="b", augment="a", seed=4, sizes=(5, 50)), *args)
+"""
+SCRIPTS = {
+    # spawned workers re-import this script and must die of Python's bootstrap
+    # guard rather than run the whole script themselves
+    "unguarded": _SCRIPT_HEAD + """
+run(sys.argv[1:])
+with open(sys.argv[3] + ".done", "a") as f:
+    f.write("done\\n")
+""",
+    # a daemonic pool worker may not start processes of its own
+    "daemonic": _SCRIPT_HEAD + """
+if __name__ == "__main__":
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        pool.map(run, [sys.argv[1:]])
+""",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCRIPTS))
+def test_mix_files_without_a_usable_pool_scans_serially(tmp_path, kind):
+    base = tmp_path / "base.jsonl"
+    augment = tmp_path / "augment.jsonl"
+    base.write_bytes(("\n".join(LINE % f"b{i}" for i in range(3)) + "\n").encode())
+    augment.write_bytes("".join(LINE % f"a{i}" + "\n" for i in range(30)).encode())
+    script = tmp_path / "script.py"
+    script.write_text(SCRIPTS[kind], encoding="utf-8")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(script), str(base), str(augment), str(out)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [(out / f"b+a@{k}.jsonl").read_bytes() for k in (5, 50)] == text_mode_outputs(
+        base, augment, (5, 50), 4
+    )
+    if kind == "unguarded":
+        assert (tmp_path / "out.done").read_text() == "done\n"
 
 
 BAD_LINES = {
