@@ -22,20 +22,29 @@ checked by exhaustive enumeration:
 
 idf(w) = ln((1 + N) / (1 + df(w))) + 1 over the instance contexts of a
 dataset, so unseen words get the maximum rarity value and an empty corpus
-scores every word 1.0.
+scores every word 1.0. ``build_idf`` reads only each context's set of
+token strings, never their offsets.
+
+``predict_dataset`` streams: ``predict`` tokenizes each context right
+before scoring it, so only one context's tokens are alive at a time.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import accumulate
+from typing import Mapping
 
 from .model import Dataset, DataError, Instance, Prediction
 from .transforms import segment_sentences
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# Splitting on the captured token pattern alternates separators and tokens.
+_SPLIT_RE = re.compile(f"({_TOKEN_RE.pattern})", re.UNICODE)
 
 STOP_WORDS = frozenset(
     """
@@ -51,8 +60,19 @@ STOP_WORDS = frozenset(
 
 
 def tokenize(text: str) -> list[tuple[str, int, int]]:
-    """Lowercased word tokens with their (start, end) code-point offsets."""
-    return [(m.group(0).lower(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
+    """Lowercased word tokens with their (start, end) code-point offsets.
+
+    Tokens are matched on the original text and lowered one by one:
+    lowering first would move boundaries ('İ' lowers to 'i' + U+0307).
+    """
+    parts = _SPLIT_RE.split(text)
+    ends = list(accumulate(map(len, parts)))
+    return list(zip(map(str.lower, parts[1::2]), ends[0::2], ends[1::2]))
+
+
+def _token_set(text: str) -> set[str]:
+    """The distinct lowercased tokens of ``text``, without offsets."""
+    return set(map(str.lower, _TOKEN_RE.findall(text)))
 
 
 @dataclass(frozen=True)
@@ -98,66 +118,73 @@ def uniform_idf() -> IdfTable:
 
 def build_idf(dataset: Dataset) -> IdfTable:
     """Document frequencies where each instance's context is one document."""
-    doc_freq: dict[str, int] = {}
+    doc_freq: Counter[str] = Counter()
     for inst in dataset:
-        for token in set(t for t, _, _ in tokenize(inst.context)):
-            doc_freq[token] = doc_freq.get(token, 0) + 1
+        doc_freq.update(_token_set(inst.context))
     return IdfTable(n_docs=len(dataset.instances), doc_freq=doc_freq)
 
 
 def predict(instance: Instance, config: BaselineConfig, idf_table: IdfTable) -> Prediction:
     """Apply the frozen scoring rule to one instance."""
     config.validate()
-    q_tokens = [t for t, _, _ in tokenize(instance.question)]
-    q_all = set(q_tokens)
+    q_all = _token_set(instance.question)
     if instance.subject_entity:
-        q_all.update(t for t, _, _ in tokenize(instance.subject_entity))
+        q_all |= _token_set(instance.subject_entity)
     q_content = q_all - STOP_WORDS
-    if not q_content:
+    context_tokens = tokenize(instance.context) if q_content else []
+    if not context_tokens:
         return Prediction(instance.id, None)
 
-    context_tokens = tokenize(instance.context)
+    # Lists, not tuples: slices of every length would otherwise fill the
+    # interpreter's per-length tuple free lists and raise peak RSS.
+    words, starts, ends = map(list, zip(*context_tokens))
+    max_span = config.max_span_tokens
     best: tuple[float, int, int] | None = None  # (score, char_start, char_end)
     for boundary in segment_sentences(instance.context):
-        sentence_tokens = [
-            t for t in context_tokens if boundary.start <= t[1] and t[2] <= boundary.end
-        ]
-        sentence_types = {t for t, _, _ in sentence_tokens}
-        overlap = q_content & sentence_types
+        # Tokens with boundary.start <= start and end <= boundary.end.
+        lo = bisect_left(starts, boundary.start)
+        hi = bisect_right(ends, boundary.end)
+        sentence_words = words[lo:hi]
+        overlap = q_content.intersection(sentence_words)
         if not overlap:
             continue
-        sentence_score = sum(idf_table.idf(w) for w in sorted(overlap))
-        # Maximal runs of tokens outside q_all; spans never contain question terms.
-        runs: list[list[int]] = []
-        current: list[int] = []
-        for pos, (token, _, _) in enumerate(sentence_tokens):
+        idf = {w: idf_table.idf(w) for w in set(sentence_words)}
+        sentence_score = sum(idf[w] for w in sorted(overlap))
+        n_tokens = len(sentence_words)
+        # Maximal runs [run_start, run_end) of tokens outside q_all; spans
+        # never contain question terms.
+        runs: list[tuple[int, int]] = []
+        run_start = None
+        for pos, token in enumerate(sentence_words):
             if token in q_all:
-                if current:
-                    runs.append(current)
-                    current = []
-            else:
-                current.append(pos)
-        if current:
-            runs.append(current)
-        for run in runs:
-            for a in range(len(run)):
+                if run_start is not None:
+                    runs.append((run_start, pos))
+                    run_start = None
+            elif run_start is None:
+                run_start = pos
+        if run_start is not None:
+            runs.append((run_start, n_tokens))
+        for run_start, run_end in runs:
+            for a in range(run_start, run_end):
                 credit = 0.0
                 seen: set[str] = set()
-                for b in range(a, min(a + config.max_span_tokens, len(run))):
-                    token = sentence_tokens[run[b]][0]
+                before = a - 1
+                if before >= 0 and sentence_words[before] in q_content:
+                    before_adjacency = 0.25 * idf[sentence_words[before]]
+                else:
+                    before_adjacency = 0.0
+                char_start = starts[lo + a]
+                for b in range(a, min(a + max_span, run_end)):
+                    token = sentence_words[b]
                     if token not in seen and token not in STOP_WORDS:
-                        credit += idf_table.idf(token)
+                        credit += idf[token]
                         seen.add(token)
-                    adjacency = 0.0
-                    before = run[a] - 1
-                    after = run[b] + 1
-                    if before >= 0 and sentence_tokens[before][0] in q_content:
-                        adjacency += 0.25 * idf_table.idf(sentence_tokens[before][0])
-                    if after < len(sentence_tokens) and sentence_tokens[after][0] in q_content:
-                        adjacency += 0.25 * idf_table.idf(sentence_tokens[after][0])
+                    adjacency = before_adjacency
+                    after = b + 1
+                    if after < n_tokens and sentence_words[after] in q_content:
+                        adjacency += 0.25 * idf[sentence_words[after]]
                     score = sentence_score + credit + adjacency
-                    char_start = sentence_tokens[run[a]][1]
-                    char_end = sentence_tokens[run[b]][2]
+                    char_end = ends[lo + b]
                     if (
                         best is None
                         or score > best[0]

@@ -7,7 +7,7 @@ the input and output paths. ``replay`` re-executes such a chain and
 verifies that each recorded output is reproduced byte for byte.
 
 Exit codes: 0 success, 1 validation or data failure, 2 usage error
-(unknown flags, missing files, schema failures).
+(unknown flags, missing or unreadable files, schema failures).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .model import (
     DataError,
     ParseError,
     load_dataset,
+    provenance_entries,
     read_predictions,
     sidecar_path,
     validate_dataset,
@@ -446,6 +447,18 @@ _REPLAY = {
 }
 
 
+class _Recorded(dict):
+    """A replay entry or its parameters; a missing key is a ParseError naming the step."""
+
+    def __init__(self, fields: dict, where: str, prefix: str):
+        super().__init__(fields)
+        self.where = where
+        self.prefix = prefix
+
+    def __missing__(self, key):
+        raise ParseError(f"{self.where}: missing required key '{self.prefix}{key}'")
+
+
 _COMPARE_BYTES = 1 << 20
 
 
@@ -470,16 +483,21 @@ def cmd_replay(args) -> int:
             raise ParseError(f"{args.log}: invalid JSON: {e}") from e
     if not isinstance(meta, dict) or "provenance_log" not in meta:
         raise ParseError(f"{args.log}: expected a sidecar object with a provenance_log")
-    entries = meta["provenance_log"]
+    entries = provenance_entries(meta, args.log)
     mismatches = 0
     with tempfile.TemporaryDirectory(dir=os.environ.get("SLOTQA_WORKDIR")) as tmp:
         for i, entry in enumerate(entries):
             operation = entry.get("operation")
-            parameters = entry.get("parameters", {})
-            if operation not in _REPLAY:
+            if not isinstance(operation, str) or operation not in _REPLAY:
                 print(f"skip: step {i} ({operation}) is not a replayable operation")
                 continue
             input_keys, handler = _REPLAY[operation]
+            where = f"{args.log}: step {i} ({operation})"
+            parameters = entry.get("parameters", {})
+            if not isinstance(parameters, dict):
+                raise ParseError(f"{where}: parameters must be an object")
+            parameters = _Recorded(parameters, where, "parameters.")
+            entry = _Recorded({**entry, "parameters": parameters}, where, "")
             if "out" not in parameters:
                 print(f"skip: step {i} ({operation}) records no output path")
                 continue
@@ -625,7 +643,8 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
+    except OSError as e:
+        # An input that is missing, a directory or unreadable is a usage error.
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -352,6 +352,14 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
         f.write("\n")
 
 
+def provenance_entries(meta: dict, where: str | Path) -> tuple[dict, ...]:
+    """A sidecar's ``provenance_log``, which must be a list of objects."""
+    log = meta.get("provenance_log", [])
+    if not isinstance(log, list) or not all(isinstance(entry, dict) for entry in log):
+        raise ParseError(f"{where}: provenance_log must be a list of objects")
+    return tuple(log)
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Read a JSONL dataset, picking up the metadata sidecar when present."""
     instances = read_instances(path)
@@ -369,7 +377,11 @@ def load_dataset(path: str | Path) -> Dataset:
             raise ParseError(f"{side}: expected a JSON object")
         name = meta.get("name", name)
         token = meta.get("no_answer_token")
-        log = tuple(meta.get("provenance_log", ()))
+        if not isinstance(name, str):
+            raise ParseError(f"{side}: name must be a string")
+        if token is not None and not isinstance(token, str):
+            raise ParseError(f"{side}: no_answer_token must be a string or null")
+        log = provenance_entries(meta, side)
     return Dataset(instances=instances, name=name, provenance_log=log, no_answer_token=token)
 
 

@@ -17,7 +17,10 @@ from dataclasses import dataclass, replace
 
 from .model import Dataset, DataError, Instance, Span, TransformReport
 
-_TERMINATORS = frozenset(".!?")
+# Sentence-closing candidates: a terminator that ends the text or is followed
+# by whitespace (``\s`` is exactly ``str.isspace``). No other terminator can
+# close a sentence under the rule, so the scan skips them.
+_TERMINATOR_RE = re.compile(r"[.!?](?=\s|\Z)")
 
 # Lowercased tokens (including the trailing period) that never end a sentence.
 ABBREVIATIONS = frozenset(
@@ -62,27 +65,22 @@ def segment_sentences(context: str) -> list[SentenceBoundary]:
     n = len(context)
     bounds: list[tuple[int, int]] = []
     start = _skip_whitespace(context, 0)
-    i = start
-    while i < n and start < n:
-        ch = context[i]
-        if ch in _TERMINATORS:
-            end = i + 1
-            if end == n:
-                bounds.append((start, end))
-                start = n
-                break
-            follower = _skip_whitespace(context, end)
-            if (
-                follower > end
-                and follower < n
-                and context[follower].isupper()
-                and not (ch == "." and _suppressed(context, i))
-            ):
-                bounds.append((start, end))
-                start = follower
-                i = follower
-                continue
-        i += 1
+    for match in _TERMINATOR_RE.finditer(context):
+        i = match.start()
+        end = i + 1
+        if end == n:
+            bounds.append((start, end))
+            start = n
+            break
+        follower = _skip_whitespace(context, end)
+        if (
+            follower > end
+            and follower < n
+            and context[follower].isupper()
+            and not (context[i] == "." and _suppressed(context, i))
+        ):
+            bounds.append((start, end))
+            start = follower
     if start < n:
         end = n
         while end > start and context[end - 1].isspace():

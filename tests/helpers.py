@@ -12,7 +12,7 @@ import re
 from slotqa import Dataset, Instance, Span
 from slotqa.baseline import STOP_WORDS
 from slotqa.metrics import normalize_answer
-from slotqa.transforms import segment_sentences
+from slotqa.transforms import ABBREVIATIONS, SentenceBoundary, segment_sentences
 
 
 def make_instance(
@@ -89,13 +89,72 @@ def tally_score(dataset, predictions):
 _WORD = re.compile(r"[^\W_]+", re.UNICODE)
 
 
+def oracle_tokenize(text):
+    """The tokenizer one match at a time: (lowered match, start, end)."""
+    return [(m.group(0).lower(), m.start(), m.end()) for m in _WORD.finditer(text)]
+
+
+_ORACLE_TERMINATORS = frozenset(".!?")
+_ORACLE_INITIALS_RE = re.compile(r"(?:[^\W\d_]\.)+\Z", re.UNICODE)
+
+
+def _oracle_skip_whitespace(text, i):
+    n = len(text)
+    while i < n and text[i].isspace():
+        i += 1
+    return i
+
+
+def _oracle_suppressed(text, period_index):
+    j = period_index
+    while j > 0 and not text[j - 1].isspace():
+        j -= 1
+    token = text[j : period_index + 1]
+    return token.lower() in ABBREVIATIONS or bool(_ORACLE_INITIALS_RE.fullmatch(token))
+
+
+def oracle_segment_sentences(context):
+    """The sentence rule as a per-character scan that visits every position."""
+    n = len(context)
+    bounds = []
+    start = _oracle_skip_whitespace(context, 0)
+    i = start
+    while i < n and start < n:
+        ch = context[i]
+        if ch in _ORACLE_TERMINATORS:
+            end = i + 1
+            if end == n:
+                bounds.append((start, end))
+                start = n
+                break
+            follower = _oracle_skip_whitespace(context, end)
+            if (
+                follower > end
+                and follower < n
+                and context[follower].isupper()
+                and not (ch == "." and _oracle_suppressed(context, i))
+            ):
+                bounds.append((start, end))
+                start = follower
+                i = follower
+                continue
+        i += 1
+    if start < n:
+        end = n
+        while end > start and context[end - 1].isspace():
+            end -= 1
+        if end > start:
+            bounds.append((start, end))
+    return [SentenceBoundary(s, e) for s, e in bounds]
+
+
 def oracle_best_span(instance, config, idf_table):
     """Exhaustive enumeration of the baseline scoring rule.
 
     Returns (score, char_start, char_end) of the best candidate under the
     documented rule, or None when no candidate exists.
     """
-    tokens = [(m.group(0).lower(), m.start(), m.end()) for m in _WORD.finditer(instance.context)]
+    tokens = oracle_tokenize(instance.context)
     q_tokens = [m.group(0).lower() for m in _WORD.finditer(instance.question)]
     q_all = set(q_tokens)
     if instance.subject_entity:

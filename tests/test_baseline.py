@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slotqa import (
     BaselineConfig,
@@ -13,7 +14,7 @@ from slotqa import (
 )
 from slotqa.baseline import STOP_WORDS, tokenize
 
-from helpers import make_dataset, make_instance, oracle_best_span
+from helpers import make_dataset, make_instance, oracle_best_span, oracle_tokenize
 
 FIG_CONTEXT = "President Obama was born in Honolulu, Hawaii."
 
@@ -26,6 +27,36 @@ def test_tokenize_offsets():
     assert tokenize("Hello, world!") == [("hello", 0, 5), ("world", 7, 12)]
     assert tokenize("") == []
     assert tokenize("under_score") == [("under", 0, 5), ("score", 6, 11)]
+    # Each token is lowered on its own: 'İ'.lower() is 'i' + U+0307, and a
+    # final sigma is judged within the token, not across the apostrophe.
+    assert tokenize("İ") == [("i\u0307", 0, 1)]
+    assert tokenize("ΑΣ'Β") == [("ας", 0, 2), ("β", 3, 4)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "_",
+        "__a__b_",
+        "0123 45x6",
+        "İ",
+        "İstanbul İİ",
+        "ΑΣ'Β",
+        "ΟΔΟΣ. ΟΔΟΣ",
+        "ǅemal ﬁne ß",
+        "a\u0307b",
+        " lead and trail ",
+    ],
+)
+def test_tokenize_matches_finditer_oracle_fixed(text):
+    assert tokenize(text) == oracle_tokenize(text)
+
+
+@settings(max_examples=500)
+@given(st.text(max_size=300))
+def test_tokenize_matches_finditer_oracle(text):
+    assert tokenize(text) == oracle_tokenize(text)
 
 
 def test_config_validation():
@@ -119,6 +150,30 @@ def test_predict_matches_enumeration_self_corpus_text():
         pred = predict(inst, config, table)
         assert pred.answer == inst.context[best[1] : best[2]]
         assert pred.answer == inst.answers[0].text
+
+
+CONTEXT_PIECES = [
+    "Obama", "born", "Hawaii", "the", "in", "was", "Dr.", "U.S.", "J.R.", "Mr.",
+    "Acme", "acme", "Corp", "x_y", "3.5", "İ", ".", "!", "?", ",", " ", "  ", "\n",
+]
+
+
+@settings(max_examples=300)
+@given(
+    context=st.lists(st.sampled_from(CONTEXT_PIECES), max_size=40).map(" ".join),
+    question=st.lists(
+        st.sampled_from(["who", "was", "Obama", "born", "acme", "Hawaii"]), max_size=4
+    ).map(" ".join),
+    max_span=st.integers(min_value=1, max_value=4),
+)
+def test_predict_matches_enumeration_on_random_contexts(context, question, max_span):
+    # Uniform idf makes every score a multiple of 0.25, so the summation order
+    # cannot matter and ties are exact.
+    inst = make_instance(question=question, context=context, answers=())
+    config = BaselineConfig(max_span_tokens=max_span, no_answer_threshold=0.0)
+    best = oracle_best_span(inst, config, uniform_idf())
+    expected = None if best is None else context[best[1] : best[2]]
+    assert predict(inst, config, uniform_idf()).answer == expected
 
 
 def test_threshold_above_best_score_means_no_answer():

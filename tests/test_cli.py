@@ -363,6 +363,76 @@ def test_exit_codes(tmp_path, squad_file):
     assert main(["adapt-noanswer", "--in", str(adapted), "--out", str(tmp_path / "again.jsonl")]) == 1
 
 
+def _slotqa(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "slotqa", *map(str, argv)], capture_output=True, text=True
+    )
+
+
+def test_input_that_is_a_directory_is_a_usage_error(tmp_path):
+    proc = _slotqa("validate", "--in", tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert str(tmp_path) in proc.stderr
+
+    proc = _slotqa("predict-baseline", "--in", tmp_path, "--out", tmp_path / "p.jsonl")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_replay_entry_missing_a_parameter_is_a_parse_error(tmp_path, squad_file):
+    pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
+    main(["ingest-squad", "--in", str(squad_file), "--split", "train", "--out", str(pos)])
+    main(["negativize", "--in", str(pos), "--out", str(neg)])
+    log = sidecar_path(neg)
+    meta = json.loads(log.read_text(encoding="utf-8"))
+    assert meta["provenance_log"][1]["operation"] == "negativize"
+    del meta["provenance_log"][1]["parameters"]["keep_positives"]
+    log.write_text(json.dumps(meta), encoding="utf-8")
+
+    proc = _slotqa("replay", "--log", log)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "ok: step 0 (ingest-squad)" in proc.stdout
+    assert (
+        f"error: {log}: step 1 (negativize): missing required key 'parameters.keep_positives'"
+        in proc.stderr
+    )
+
+    meta["provenance_log"][1]["parameters"] = ["in", str(pos)]
+    log.write_text(json.dumps(meta), encoding="utf-8")
+    proc = _slotqa("replay", "--log", log)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{log}: step 1 (negativize): parameters must be an object" in proc.stderr
+
+
+def test_replay_mix_entry_without_seed_is_a_parse_error(tmp_path, capsys):
+    base, augment = tmp_path / "base.jsonl", tmp_path / "augment.jsonl"
+    _jsonl(base, ["b0"])
+    _jsonl(augment, ["a0", "a1", "a2"])
+    assert main(_mix_args(tmp_path, base, augment, [2])) == 0
+    log = sidecar_path(tmp_path / "out" / "b+a@2.jsonl")
+    meta = json.loads(log.read_text(encoding="utf-8"))
+    del meta["provenance_log"][-1]["seed"]
+    log.write_text(json.dumps(meta), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", "--log", str(log)]) == 2
+    assert f"{log}: step 0 (mix): missing required key 'seed'" in capsys.readouterr().err
+
+
+def test_sidecar_provenance_log_of_the_wrong_type_is_a_parse_error(tmp_path):
+    path = tmp_path / "d.jsonl"
+    _jsonl(path, ["x0"])
+    sidecar_path(path).write_text('{"provenance_log": "abc"}', encoding="utf-8")
+    for argv in (("validate", "--in", path), ("replay", "--log", sidecar_path(path))):
+        proc = _slotqa(*argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"{sidecar_path(path)}: provenance_log must be a list of objects" in proc.stderr
+
+
 def test_validate_reports_violations(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -177,6 +178,28 @@ def test_load_dataset_without_sidecar_defaults(tmp_path):
     assert ds.name == "plain"
     assert ds.provenance_log == ()
     assert ds.no_answer_token is None
+
+
+@pytest.mark.parametrize("log", ["abc", {"operation": "x"}, [1], ["step"], [{}, None]])
+def test_load_dataset_rejects_provenance_log_that_is_not_a_list_of_objects(tmp_path, log):
+    path = tmp_path / "odd.jsonl"
+    write_instances([make_instance()], path)
+    sidecar_path(path).write_text(json.dumps({"provenance_log": log}), encoding="utf-8")
+    expected = f"{sidecar_path(path)}: provenance_log must be a list of objects"
+    with pytest.raises(ParseError, match=re.escape(expected)):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "meta, message",
+    [({"name": ["a"]}, "name must be a string"), ({"no_answer_token": 5}, "no_answer_token must be")],
+)
+def test_load_dataset_rejects_sidecar_name_or_token_of_the_wrong_type(tmp_path, meta, message):
+    path = tmp_path / "odd.jsonl"
+    write_instances([make_instance()], path)
+    sidecar_path(path).write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{sidecar_path(path)}: {message}")):
+        load_dataset(path)
 
 
 def test_derive_appends_provenance():

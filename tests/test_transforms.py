@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from slotqa import (
     DataError,
@@ -13,7 +13,12 @@ from slotqa import (
 from slotqa.model import dumps_instance
 from slotqa.transforms import DEFAULT_NO_ANSWER_TOKEN
 
-from helpers import char_level_survivors, make_dataset, make_instance
+from helpers import (
+    char_level_survivors,
+    make_dataset,
+    make_instance,
+    oracle_segment_sentences,
+)
 
 TWO_SENTENCES = "Obama was born in Hawaii. His father was born in Kenya."
 
@@ -78,6 +83,47 @@ def test_segment_partitions_non_whitespace(text):
         prev_end = b.end
     non_ws = {i for i, ch in enumerate(text) if not ch.isspace()}
     assert non_ws <= covered
+
+
+# Pieces that exercise every branch of the rule: terminators, known
+# abbreviations and initials, upper/lower/title-case followers, and
+# whitespace that only str.isspace knows (U+001C, U+0085, U+00A0, U+3000)
+# next to look-alikes that are not whitespace (U+200B).
+SEGMENT_PIECES = [
+    ".", "!", "?", "?!", "...", "Dr.", "dr.", "U.S.", "J.R.", "e.g.", "a.m.",
+    "3.5", "A", "B", "Z", "x", "y", "ǅ", "İ", "É", "7",
+    " ", "  ", "\n", "\t", "\x1c", "\x85", "\xa0", "\u3000", "\u200b",
+]
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(SEGMENT_PIECES), max_size=60).map("".join))
+def test_segment_matches_per_character_oracle_on_dense_text(text):
+    assert segment_sentences(text) == oracle_segment_sentences(text)
+
+
+@settings(max_examples=300)
+@given(st.text(max_size=300))
+def test_segment_matches_per_character_oracle(text):
+    assert segment_sentences(text) == oracle_segment_sentences(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        ".",
+        "End.",
+        "One.\x1cTwo.",
+        "One.\x85Two. three",
+        "One.\xa0Two!\u3000Three?",
+        "One.\u200bTwo.",
+        "Dr. Who. U.S. Army. J.R. Ewing! Ok",
+        "x. y. Z.  ",
+    ],
+)
+def test_segment_matches_per_character_oracle_fixed(text):
+    assert segment_sentences(text) == oracle_segment_sentences(text)
 
 
 def test_negativize_drops_answer_sentence():
