@@ -44,14 +44,16 @@ def build_challenge_set(
     positives consume nothing.
     """
     grouped = by_relation(templates)
-    entities: dict[str, list[str]] = {}
+    # relation -> (surface form, lowered) of each distinct entity, lowered once
+    entities: dict[str, list[tuple[str, str]]] = {}
     seen: set[tuple[str, str]] = set()
     for inst in positives:
         _require_positive(inst)
-        key = (inst.relation, inst.subject_entity.lower())
+        lowered = inst.subject_entity.lower()
+        key = (inst.relation, lowered)
         if key not in seen:
             seen.add(key)
-            entities.setdefault(inst.relation, []).append(inst.subject_entity)
+            entities.setdefault(inst.relation, []).append((inst.subject_entity, lowered))
 
     rng = random.Random(seed)
     out: list[Instance] = []
@@ -63,8 +65,8 @@ def build_challenge_set(
         context_lower = inst.context.lower()
         eligible = [
             e
-            for e in entities[inst.relation]
-            if e.lower() != own and e.lower() not in context_lower
+            for e, lowered in entities[inst.relation]
+            if lowered != own and lowered not in context_lower
         ]
         if not eligible:
             skipped += 1

@@ -8,6 +8,9 @@ verifies that each recorded output is reproduced byte for byte.
 
 Exit codes: 0 success, 1 validation or data failure, 2 usage error
 (unknown flags, missing or unreadable files, schema failures).
+
+Each runner imports the layer modules it uses when it runs, so a subcommand
+(and ``--help``) loads only what it needs.
 """
 
 from __future__ import annotations
@@ -16,16 +19,12 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .baseline import BaselineConfig, predict_dataset
-from .challenge import build_challenge_set, build_uwre_plus, derive_seed
-from .ingest import ingest_squad, ingest_uwre
-from .metrics import score_challenge_accuracy, score_slot_filling
-from .mixer import MixSpec, mix_files
 from .model import (
+    DEFAULT_NO_ANSWER_TOKEN,
     Dataset,
     DataError,
     ParseError,
@@ -37,12 +36,9 @@ from .model import (
     write_dataset,
     write_predictions,
 )
-from .templates import load_templates, save_templates
-from .transforms import (
-    DEFAULT_NO_ANSWER_TOKEN,
-    insert_no_answer_token,
-    negativize_squad,
-)
+
+if TYPE_CHECKING:
+    from .baseline import BaselineConfig
 
 
 def _write_json(obj: dict, path: str | Path) -> None:
@@ -73,6 +69,8 @@ def _plain_sidecar(path: Path, entry: dict) -> None:
 
 
 def run_ingest_squad(in_path: str, split: str, out_path: str | Path) -> "tuple":
+    from .ingest import ingest_squad
+
     with open(in_path, "r", encoding="utf-8") as f:
         try:
             document = json.load(f)
@@ -87,6 +85,9 @@ def run_ingest_squad(in_path: str, split: str, out_path: str | Path) -> "tuple":
 def run_ingest_uwre(
     in_path: str, split: str, out_path: str | Path, templates_out: str | None
 ) -> "tuple":
+    from .ingest import ingest_uwre
+    from .templates import save_templates
+
     with open(in_path, "r", encoding="utf-8") as f:
         dataset, inventory, report = ingest_uwre(f, split)
     dataset = _amend_last_entry(
@@ -100,6 +101,8 @@ def run_ingest_uwre(
 
 
 def run_negativize(in_path: str, out_path: str | Path, keep_positives: bool) -> "tuple":
+    from .transforms import negativize_squad
+
     dataset = load_dataset(in_path)
     result, report = negativize_squad(dataset, keep_positives=keep_positives)
     result = _amend_last_entry(result, {"in": str(in_path), "out": str(out_path)})
@@ -108,6 +111,8 @@ def run_negativize(in_path: str, out_path: str | Path, keep_positives: bool) -> 
 
 
 def run_adapt_noanswer(in_path: str, out_path: str | Path, token: str) -> Dataset:
+    from .transforms import insert_no_answer_token
+
     dataset = load_dataset(in_path)
     result, _ = insert_no_answer_token(dataset, token)
     result = _amend_last_entry(result, {"in": str(in_path), "out": str(out_path)})
@@ -118,6 +123,9 @@ def run_adapt_noanswer(in_path: str, out_path: str | Path, token: str) -> Datase
 def run_build_challenge(
     in_path: str, templates_path: str, seed: int, out_path: str | Path
 ) -> "tuple":
+    from .challenge import build_challenge_set
+    from .templates import load_templates
+
     dataset = load_dataset(in_path)
     positives = tuple(inst for inst in dataset if inst.origin == "uwre_positive")
     if not positives:
@@ -141,6 +149,8 @@ def run_build_uwre_plus(
     out_path: str | Path,
     split_label: str | None = None,
 ) -> "tuple":
+    from .challenge import build_uwre_plus, derive_seed
+
     effective = derive_seed(seed, split_label) if split_label else seed
     dataset = load_dataset(in_path)
     pool = load_dataset(pool_path)
@@ -157,6 +167,8 @@ def run_build_uwre_plus(
 def run_predict_baseline(
     in_path: str, out_path: str | Path, config: BaselineConfig
 ) -> list:
+    from .baseline import predict_dataset
+
     dataset = load_dataset(in_path)
     predictions = predict_dataset(dataset, config)
     write_predictions(predictions, out_path)
@@ -183,6 +195,8 @@ def run_score(
     match: str,
     token_override: str | None,
 ):
+    from .metrics import score_slot_filling
+
     dataset = _scored_dataset(dataset_path, token_override)
     predictions = read_predictions(preds_path)
     report = score_slot_filling(dataset, predictions, match=match)
@@ -206,6 +220,8 @@ def run_score(
 def run_score_challenge(
     dataset_path: str, preds_path: str, out_path: str | None, token_override: str | None
 ):
+    from .metrics import score_challenge_accuracy
+
     dataset = _scored_dataset(dataset_path, token_override)
     predictions = read_predictions(preds_path)
     report = score_challenge_accuracy(dataset, predictions)
@@ -298,6 +314,8 @@ def cmd_build_uwre_plus(args) -> int:
 
 
 def cmd_mix(args) -> int:
+    from .mixer import MixSpec, mix_files
+
     spec = MixSpec.from_json_file(args.config)
     results = mix_files(spec, args.base, args.augment, args.out_dir)
     for name, path, report in results:
@@ -305,12 +323,20 @@ def cmd_mix(args) -> int:
     return 0
 
 
+def _baseline_config(args) -> "BaselineConfig":
+    """The flags that were given; BaselineConfig supplies the defaults of the rest."""
+    from .baseline import BaselineConfig
+
+    given = {
+        "max_span_tokens": args.max_span_tokens,
+        "no_answer_threshold": args.threshold,
+        "idf_source": args.idf,
+    }
+    return BaselineConfig(**{key: value for key, value in given.items() if value is not None})
+
+
 def cmd_predict_baseline(args) -> int:
-    config = BaselineConfig(
-        max_span_tokens=args.max_span_tokens,
-        no_answer_threshold=args.threshold,
-        idf_source=args.idf,
-    )
+    config = _baseline_config(args)
     config.validate()
     predictions = run_predict_baseline(args.in_path, args.out, config)
     answered = sum(1 for p in predictions if p.answer is not None)
@@ -362,9 +388,12 @@ def _rp_ingest_uwre(entry, workdir):
     candidate = workdir / Path(p["out"]).name
     pairs = [(Path(p["out"]), candidate)]
     templates_candidate = None
-    if p.get("templates_out"):
-        templates_candidate = str(workdir / Path(p["templates_out"]).name)
-        pairs.append((Path(p["templates_out"]), Path(templates_candidate)))
+    templates_out = p.get("templates_out")
+    if templates_out is not None and not isinstance(templates_out, str):
+        raise ParseError(f"{p.where}: 'parameters.templates_out' must be a string or null")
+    if templates_out:
+        templates_candidate = str(workdir / Path(templates_out).name)
+        pairs.append((Path(templates_out), Path(templates_candidate)))
     run_ingest_uwre(p["in"], p["split"], candidate, templates_candidate)
     return pairs
 
@@ -398,6 +427,8 @@ def _rp_build_uwre_plus(entry, workdir):
 
 
 def _rp_mix(entry, workdir):
+    from .mixer import MixSpec, mix_files
+
     p = entry["parameters"]
     spec = MixSpec(
         base=p["base"], augment=p["augment"], seed=entry["seed"], sizes=(p["size"],)
@@ -408,6 +439,8 @@ def _rp_mix(entry, workdir):
 
 
 def _rp_predict_baseline(entry, workdir):
+    from .baseline import BaselineConfig
+
     p = entry["parameters"]
     candidate = workdir / Path(p["out"]).name
     config = BaselineConfig(
@@ -476,6 +509,8 @@ def _same_bytes(a: Path, b: Path) -> bool:
 
 
 def cmd_replay(args) -> int:
+    import tempfile
+
     with open(args.log, "r", encoding="utf-8") as f:
         try:
             meta = json.load(f)
@@ -501,6 +536,10 @@ def cmd_replay(args) -> int:
             if "out" not in parameters:
                 print(f"skip: step {i} ({operation}) records no output path")
                 continue
+            for key in (*input_keys, "out"):
+                value = parameters.get(key)
+                if key in parameters and not (isinstance(value, str) and value):
+                    raise ParseError(f"{where}: 'parameters.{key}' must be a non-empty string")
             for key in input_keys:
                 source = parameters.get(key)
                 if not source or not Path(source).exists():
@@ -600,9 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict-baseline", help="run the lexical overlap baseline")
     p.add_argument("--in", dest="in_path", required=True, metavar="FILE")
     p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--threshold", type=float, default=BaselineConfig.no_answer_threshold)
-    p.add_argument("--max-span-tokens", type=int, default=BaselineConfig.max_span_tokens)
-    p.add_argument("--idf", choices=["self_corpus", "uniform"], default="self_corpus")
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--max-span-tokens", type=int)
+    p.add_argument("--idf", choices=["self_corpus", "uniform"])
     p.set_defaults(func=cmd_predict_baseline)
 
     p = sub.add_parser("score", help="slot-filling precision/recall/F1")

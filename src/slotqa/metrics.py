@@ -18,23 +18,13 @@ from typing import Iterable, Mapping, Sequence
 from .model import Dataset, DataError, Instance, Prediction
 
 
+_ARTICLES_RE = re.compile(r"\b(a|an|the)\b")
+_DROP_PUNCTUATION = str.maketrans("", "", string.punctuation)
+
+
 def normalize_answer(s: str) -> str:
     """Lower text and remove punctuation, articles and extra whitespace."""
-
-    def remove_articles(text):
-        return re.sub(r"\b(a|an|the)\b", " ", text)
-
-    def white_space_fix(text):
-        return " ".join(text.split())
-
-    def remove_punc(text):
-        exclude = set(string.punctuation)
-        return "".join(ch for ch in text if ch not in exclude)
-
-    def lower(text):
-        return text.lower()
-
-    return white_space_fix(remove_articles(remove_punc(lower(s))))
+    return " ".join(_ARTICLES_RE.sub(" ", s.lower().translate(_DROP_PUNCTUATION)).split())
 
 
 _COUNT_KEYS = ("positives", "negatives", "answered", "correct", "no_answer_predictions", "missing")
@@ -110,14 +100,6 @@ def _effective_gold_texts(inst: Instance, token: str | None) -> tuple[str, ...]:
     return tuple(span.text for span in inst.answers)
 
 
-def _effective_answer(answer: str | None, token: str | None) -> str | None:
-    if answer is None:
-        return None
-    if token is not None and normalize_answer(answer) == normalize_answer(token):
-        return None
-    return answer
-
-
 def _token_overlap_credit(prediction: str, golds: Sequence[str]) -> float:
     """Max token-level F1 of the prediction against any gold, after normalization."""
     pred_tokens = normalize_answer(prediction).split()
@@ -144,51 +126,83 @@ def _token_overlap_credit(prediction: str, golds: Sequence[str]) -> float:
     return best
 
 
-def _score_group(
-    instances: Sequence[Instance],
-    by_id: Mapping[str, Prediction],
-    token: str | None,
-    match: str,
-    zero_division: float,
-) -> EvalReport:
-    positives = negatives = answered = no_answer = missing = 0
-    correct = 0.0
-    for inst in instances:
+class _Tally:
+    """Running counts over a group of instances; see ``_COUNT_KEYS``."""
+
+    __slots__ = ("positives", "negatives", "answered", "correct", "no_answer", "missing")
+
+    def __init__(self) -> None:
+        self.positives = self.negatives = self.answered = self.no_answer = self.missing = 0
+        self.correct = 0.0
+
+    def add(self, positive: bool, answered: bool, credit: float, missing: bool) -> None:
+        if positive:
+            self.positives += 1
+        else:
+            self.negatives += 1
+        if answered:
+            self.answered += 1
+            self.correct += credit
+        else:
+            self.no_answer += 1
+        if missing:
+            self.missing += 1
+
+    def counts(self, match: str) -> dict:
+        return {
+            "positives": self.positives,
+            "negatives": self.negatives,
+            "answered": self.answered,
+            "correct": int(self.correct) if match == "exact" else self.correct,
+            "no_answer_predictions": self.no_answer,
+            "missing": self.missing,
+        }
+
+    def report(self, match: str, zero_division: float) -> EvalReport:
+        precision = self.correct / self.answered if self.answered else zero_division
+        recall = self.correct / self.positives if self.positives else zero_division
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        return EvalReport(precision=precision, recall=recall, f1=f1, counts=self.counts(match))
+
+
+def _tally(
+    dataset: Dataset, by_id: Mapping[str, Prediction], match: str
+) -> tuple[_Tally, dict[str, _Tally]]:
+    """Score every instance once, into the whole-dataset tally and its relation's.
+
+    Credits are summed in instance order, overall and within each relation.
+    """
+    token = dataset.no_answer_token
+    normalized_token = None if token is None else normalize_answer(token)
+    overall = _Tally()
+    per_relation: dict[str, _Tally] = {}
+    for inst in dataset:
         golds = _effective_gold_texts(inst, token)
-        if golds:
-            positives += 1
-        else:
-            negatives += 1
         pred = by_id.get(inst.id)
-        if pred is None:
-            missing += 1
-            answer = None
-        else:
-            answer = _effective_answer(pred.answer, token)
-        if answer is None:
-            no_answer += 1
-            continue
-        answered += 1
-        if not golds:
-            continue
-        if match == "exact":
+        answer = None if pred is None else pred.answer
+        normalized = None
+        if answer is not None and token is not None:
+            # a predicted dummy token is a no-answer
             normalized = normalize_answer(answer)
-            if any(normalize_answer(g) == normalized for g in golds):
-                correct += 1
-        else:
-            correct += _token_overlap_credit(answer, golds)
-    precision = correct / answered if answered else zero_division
-    recall = correct / positives if positives else zero_division
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    counts = {
-        "positives": positives,
-        "negatives": negatives,
-        "answered": answered,
-        "correct": int(correct) if match == "exact" else correct,
-        "no_answer_predictions": no_answer,
-        "missing": missing,
-    }
-    return EvalReport(precision=precision, recall=recall, f1=f1, counts=counts)
+            if normalized == normalized_token:
+                answer = None
+        credit = 0.0
+        if answer is not None and golds:
+            if match == "exact":
+                if normalized is None:
+                    normalized = normalize_answer(answer)
+                if any(normalize_answer(g) == normalized for g in golds):
+                    credit = 1.0
+            else:
+                credit = _token_overlap_credit(answer, golds)
+        outcome = (bool(golds), answer is not None, credit, pred is None)
+        overall.add(*outcome)
+        if inst.relation is not None:
+            group = per_relation.get(inst.relation)
+            if group is None:
+                group = per_relation[inst.relation] = _Tally()
+            group.add(*outcome)
+    return overall, per_relation
 
 
 def score_slot_filling(
@@ -209,18 +223,11 @@ def score_slot_filling(
     """
     if match not in ("exact", "overlap"):
         raise DataError(f"unknown match mode {match!r}, expected 'exact' or 'overlap'")
-    by_id = _prediction_map(dataset, predictions)
-    token = dataset.no_answer_token
-    report = _score_group(dataset.instances, by_id, token, match, zero_division)
-    relations = [inst.relation for inst in dataset if inst.relation is not None]
-    if relations:
-        groups: dict[str, list[Instance]] = {}
-        for inst in dataset:
-            if inst.relation is not None:
-                groups.setdefault(inst.relation, []).append(inst)
+    overall, per_relation = _tally(dataset, _prediction_map(dataset, predictions), match)
+    report = overall.report(match, zero_division)
+    if per_relation:
         report.per_relation = {
-            rel: _score_group(members, by_id, token, match, zero_division)
-            for rel, members in groups.items()
+            rel: tally.report(match, zero_division) for rel, tally in per_relation.items()
         }
     return report
 
@@ -237,31 +244,11 @@ def score_challenge_accuracy(
     """
     if len(dataset) == 0:
         raise DataError("cannot score an empty dataset")
-    by_id = _prediction_map(dataset, predictions)
-    token = dataset.no_answer_token
-    for inst in dataset:
-        if _effective_gold_texts(inst, token):
-            raise DataError(
-                f"challenge accuracy needs an all-negative dataset; {inst.id!r} has answers"
-            )
-    answered = no_answer = missing = 0
-    for inst in dataset:
-        pred = by_id.get(inst.id)
-        if pred is None:
-            missing += 1
-            answer = None
-        else:
-            answer = _effective_answer(pred.answer, token)
-        if answer is None:
-            no_answer += 1
-        else:
-            answered += 1
-    counts = {
-        "positives": 0,
-        "negatives": len(dataset),
-        "answered": answered,
-        "correct": 0,
-        "no_answer_predictions": no_answer,
-        "missing": missing,
-    }
-    return EvalReport(accuracy=no_answer / len(dataset), counts=counts)
+    tally, _ = _tally(dataset, _prediction_map(dataset, predictions), "exact")
+    if tally.positives:
+        token = dataset.no_answer_token
+        first = next(inst for inst in dataset if _effective_gold_texts(inst, token))
+        raise DataError(
+            f"challenge accuracy needs an all-negative dataset; {first.id!r} has answers"
+        )
+    return EvalReport(accuracy=tally.no_answer / len(dataset), counts=tally.counts("exact"))

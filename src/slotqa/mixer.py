@@ -334,7 +334,7 @@ def mix_files(
     16 MiB; if no pool can be used, they are validated in this process.
     Memory stays bounded by the base ids and a rank table of 4 bytes per
     augment line, never by instance objects. Each scan worker is a separate
-    interpreter (about 22 MB of RSS on CPython 3.11) that holds its own
+    interpreter (about 18 MB of RSS on CPython 3.11) that holds its own
     copy of the base ids.
     """
     spec.validate()

@@ -31,6 +31,9 @@ NEGATIVE_ORIGINS = frozenset({"squad_negative", "uwre_negative", "challenge_nega
 POSITIVE_ORIGINS = frozenset({"squad_positive", "uwre_positive"})
 SPLITS = ("train", "dev", "test")
 
+# The dummy token that ``adapt-noanswer`` prefixes to every context.
+DEFAULT_NO_ANSWER_TOKEN = "NoAnswerFound"
+
 _INSTANCE_FIELDS = (
     "id",
     "question",
@@ -41,6 +44,11 @@ _INSTANCE_FIELDS = (
     "origin",
     "split",
 )
+_INSTANCE_FIELD_SET = frozenset(_INSTANCE_FIELDS)
+# checked in this order, so a record with several bad fields names the same one
+_STRING_FIELDS = ("id", "question", "context", "origin", "split")
+_SPAN_FIELD_SET = frozenset({"start", "text"})
+_PREDICTION_FIELD_SET = frozenset({"id", "answer"})
 
 
 class ParseError(ValueError):
@@ -266,50 +274,54 @@ def dumps_instance(inst: Instance) -> str:
     return json.dumps(instance_to_dict(inst), ensure_ascii=False)
 
 
-def _require_str(obj: dict, key: str, where: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise ParseError(f"{where}: field {key!r} must be a string")
-    return value
-
-
-def instance_from_dict(obj: Any, where: str = "instance") -> Instance:
+def _parse_instance(obj: Any) -> Instance:
+    """An Instance from a decoded JSON value; a ParseError says what is wrong, not where."""
     if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected a JSON object")
-    missing = [k for k in _INSTANCE_FIELDS if k not in obj]
-    unknown = [k for k in obj if k not in _INSTANCE_FIELDS]
-    if missing or unknown:
+        raise ParseError("expected a JSON object")
+    if obj.keys() != _INSTANCE_FIELD_SET:
+        missing = [k for k in _INSTANCE_FIELDS if k not in obj]
+        unknown = [k for k in obj if k not in _INSTANCE_FIELD_SET]
         raise ParseError(
-            f"{where}: bad instance fields"
+            "bad instance fields"
             + (f", missing {missing}" if missing else "")
             + (f", unknown {unknown}" if unknown else "")
         )
     answers_raw = obj["answers"]
     if not isinstance(answers_raw, list):
-        raise ParseError(f"{where}: field 'answers' must be an array")
+        raise ParseError("field 'answers' must be an array")
     answers = []
     for i, a in enumerate(answers_raw):
-        if not isinstance(a, dict) or set(a) != {"start", "text"}:
-            raise ParseError(f"{where}: answers[{i}] must be an object with start and text")
+        if not isinstance(a, dict) or a.keys() != _SPAN_FIELD_SET:
+            raise ParseError(f"answers[{i}] must be an object with start and text")
         start, text = a["start"], a["text"]
         if isinstance(start, bool) or not isinstance(start, int):
-            raise ParseError(f"{where}: answers[{i}].start must be an integer")
+            raise ParseError(f"answers[{i}].start must be an integer")
         if not isinstance(text, str):
-            raise ParseError(f"{where}: answers[{i}].text must be a string")
+            raise ParseError(f"answers[{i}].text must be a string")
         answers.append(Span(start, text))
     for key in ("relation", "subject_entity"):
         if obj[key] is not None and not isinstance(obj[key], str):
-            raise ParseError(f"{where}: field {key!r} must be a string or null")
+            raise ParseError(f"field {key!r} must be a string or null")
+    for key in _STRING_FIELDS:
+        if not isinstance(obj[key], str):
+            raise ParseError(f"field {key!r} must be a string")
     return Instance(
-        id=_require_str(obj, "id", where),
-        question=_require_str(obj, "question", where),
-        context=_require_str(obj, "context", where),
-        answers=tuple(answers),
-        relation=obj["relation"],
-        subject_entity=obj["subject_entity"],
-        origin=_require_str(obj, "origin", where),
-        split=_require_str(obj, "split", where),
+        obj["id"],
+        obj["question"],
+        obj["context"],
+        tuple(answers),
+        obj["relation"],
+        obj["subject_entity"],
+        obj["origin"],
+        obj["split"],
     )
+
+
+def instance_from_dict(obj: Any, where: str = "instance") -> Instance:
+    try:
+        return _parse_instance(obj)
+    except ParseError as e:
+        raise ParseError(f"{where}: {e}") from None
 
 
 def write_instances(instances: Iterable[Instance], path: str | Path) -> None:
@@ -319,19 +331,32 @@ def write_instances(instances: Iterable[Instance], path: str | Path) -> None:
             f.write("\n")
 
 
-def read_instances(path: str | Path) -> tuple[Instance, ...]:
-    instances = []
+def _decode_line(line: str) -> Any:
+    """One JSONL line as a JSON value; a ParseError says what is wrong, not where."""
+    line = line.rstrip("\n")
+    if not line:
+        raise ParseError("empty line")
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e}") from e
+
+
+def _read_jsonl(path: str | Path, parse) -> tuple:
+    """``parse`` applied to every decoded line; errors are prefixed with the line."""
+    items = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                raise ParseError(f"{path}: line {lineno}: empty line")
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON: {e}") from e
-            instances.append(instance_from_dict(obj, where=f"{path}: line {lineno}"))
-    return tuple(instances)
+                items.append(parse(_decode_line(line)))
+            except ParseError as e:
+                # the location is formatted only for the line that fails
+                raise ParseError(f"{path}: line {lineno}: {e}") from e.__cause__
+    return tuple(items)
+
+
+def read_instances(path: str | Path) -> tuple[Instance, ...]:
+    return _read_jsonl(path, _parse_instance)
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -395,22 +420,15 @@ def write_predictions(predictions: Iterable[Prediction], path: str | Path) -> No
             f.write("\n")
 
 
+def _parse_prediction(obj: Any) -> Prediction:
+    if not isinstance(obj, dict) or obj.keys() != _PREDICTION_FIELD_SET:
+        raise ParseError("expected an object with id and answer")
+    if not isinstance(obj["id"], str):
+        raise ParseError("field 'id' must be a string")
+    if obj["answer"] is not None and not isinstance(obj["answer"], str):
+        raise ParseError("field 'answer' must be a string or null")
+    return Prediction(obj["id"], obj["answer"])
+
+
 def read_predictions(path: str | Path) -> tuple[Prediction, ...]:
-    preds = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                raise ParseError(f"{path}: line {lineno}: empty line")
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON: {e}") from e
-            if not isinstance(obj, dict) or set(obj) != {"id", "answer"}:
-                raise ParseError(f"{path}: line {lineno}: expected an object with id and answer")
-            if not isinstance(obj["id"], str):
-                raise ParseError(f"{path}: line {lineno}: field 'id' must be a string")
-            if obj["answer"] is not None and not isinstance(obj["answer"], str):
-                raise ParseError(f"{path}: line {lineno}: field 'answer' must be a string or null")
-            preds.append(Prediction(obj["id"], obj["answer"]))
-    return tuple(preds)
+    return _read_jsonl(path, _parse_prediction)

@@ -15,12 +15,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .model import Dataset, DataError, Instance, Span, TransformReport
+from .model import DEFAULT_NO_ANSWER_TOKEN, Dataset, DataError, Instance, Span, TransformReport
 
 # Sentence-closing candidates: a terminator that ends the text or is followed
-# by whitespace (``\s`` is exactly ``str.isspace``). No other terminator can
-# close a sentence under the rule, so the scan skips them.
-_TERMINATOR_RE = re.compile(r"[.!?](?=\s|\Z)")
+# by whitespace (``\s`` is exactly ``str.isspace``), taken with that
+# whitespace. No other terminator can close a sentence under the rule, so the
+# scan skips them.
+_CANDIDATE_RE = re.compile(r"[.!?](?:\s+|\Z)")
 
 # Lowercased tokens (including the trailing period) that never end a sentence.
 ABBREVIATIONS = frozenset(
@@ -52,11 +53,7 @@ def _skip_whitespace(text: str, i: int) -> int:
     return i
 
 
-def _suppressed(text: str, period_index: int) -> bool:
-    j = period_index
-    while j > 0 and not text[j - 1].isspace():
-        j -= 1
-    token = text[j : period_index + 1]
+def _suppressed(token: str) -> bool:
     return token.lower() in ABBREVIATIONS or bool(_INITIALS_RE.fullmatch(token))
 
 
@@ -65,22 +62,27 @@ def segment_sentences(context: str) -> list[SentenceBoundary]:
     n = len(context)
     bounds: list[tuple[int, int]] = []
     start = _skip_whitespace(context, 0)
-    for match in _TERMINATOR_RE.finditer(context):
-        i = match.start()
-        end = i + 1
+    previous = 0  # end of the previous candidate; whitespace follows it
+    for match in _CANDIDATE_RE.finditer(context):
+        end = match.start() + 1
         if end == n:
             bounds.append((start, end))
             start = n
             break
-        follower = _skip_whitespace(context, end)
+        follower = match.end()
+        # The token ending at a period is the last whitespace-free run since
+        # the previous candidate: one rsplit, no walk back.
         if (
-            follower > end
-            and follower < n
+            follower < n
             and context[follower].isupper()
-            and not (context[i] == "." and _suppressed(context, i))
+            and not (
+                context[end - 1] == "."
+                and _suppressed(context[previous:end].rsplit(None, 1)[-1])
+            )
         ):
             bounds.append((start, end))
             start = follower
+        previous = end
     if start < n:
         end = n
         while end > start and context[end - 1].isspace():
@@ -143,9 +145,6 @@ def negativize_squad(
         out, "negativize", {"keep_positives": keep_positives, "skipped": skipped}
     )
     return result, report
-
-
-DEFAULT_NO_ANSWER_TOKEN = "NoAnswerFound"
 
 
 def insert_no_answer_token(

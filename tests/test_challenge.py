@@ -62,6 +62,8 @@ def test_challenge_donor_comes_from_eligible_set():
         uwre_positive("u2", "Merkel", "Merkel was born in Hamburg.", "Hamburg"),
         uwre_positive("u3", "Ada Lovelace", "Ada Lovelace was born in London.", "London"),
         uwre_positive("u4", "Curie", "Curie was born in Warsaw.", "Warsaw"),
+        # its own entity is absent from its sentence, yet never its own donor
+        uwre_positive("u5", "Tesla", "The inventor was born in Smiljan.", "Smiljan"),
     )
     for seed in range(12):
         ds, _ = build_challenge_set(pool, [BIRTH], seed=seed)

@@ -408,6 +408,41 @@ def test_replay_entry_missing_a_parameter_is_a_parse_error(tmp_path, squad_file)
     assert f"{log}: step 1 (negativize): parameters must be an object" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "operation, parameters, key",
+    [
+        ("negativize", {"in": 5, "out": "x"}, "in"),
+        ("negativize", {"in": "", "out": "x"}, "in"),
+        ("negativize", {"in": "x", "out": None}, "out"),
+        ("score", {"dataset": "d", "preds": ["p"], "out": "x"}, "preds"),
+        ("mix", {"base_path": "b", "augment_path": {"a": 1}, "out": "x"}, "augment_path"),
+    ],
+)
+def test_replay_parameter_that_is_not_a_path_is_a_parse_error(tmp_path, operation, parameters, key):
+    log = tmp_path / "log.prov.json"
+    entry = {"operation": operation, "parameters": parameters, "seed": None}
+    log.write_text(json.dumps({"provenance_log": [entry]}), encoding="utf-8")
+    proc = _slotqa("replay", "--log", log)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        f"error: {log}: step 0 ({operation}): 'parameters.{key}' must be a non-empty string\n"
+    )
+
+
+def test_replay_templates_out_of_the_wrong_type_is_a_parse_error(tmp_path, uwre_file):
+    out = tmp_path / "uwre.jsonl"
+    assert main(["ingest-uwre", "--in", str(uwre_file), "--split", "train", "--out", str(out)]) == 0
+    log = sidecar_path(out)
+    meta = json.loads(log.read_text(encoding="utf-8"))
+    meta["provenance_log"][0]["parameters"]["templates_out"] = 5
+    log.write_text(json.dumps(meta), encoding="utf-8")
+    proc = _slotqa("replay", "--log", log)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"step 0 (ingest-uwre): 'parameters.templates_out' must be a string or null" in proc.stderr
+
+
 def test_replay_mix_entry_without_seed_is_a_parse_error(tmp_path, capsys):
     base, augment = tmp_path / "base.jsonl", tmp_path / "augment.jsonl"
     _jsonl(base, ["b0"])

@@ -1,6 +1,8 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slotqa import (
     DataError,
@@ -12,7 +14,7 @@ from slotqa import (
     score_slot_filling,
 )
 
-from helpers import make_dataset, make_instance, tally_score
+from helpers import make_dataset, make_instance, oracle_normalize_answer, tally_score
 
 
 def hand_worked_case():
@@ -41,6 +43,20 @@ def test_normalize_answer_examples():
     assert normalize_answer("an  apple") == "apple"
     assert normalize_answer("A") == ""
     assert normalize_answer("42.") == "42"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "The", "a-n apple", "the.end", "İstanbul, THE city", "ΑΣ the\u00a0an\u2003a", "théâtre!", "x\u0085a y"],
+)
+def test_normalize_answer_matches_closure_oracle_fixed(text):
+    assert normalize_answer(text) == oracle_normalize_answer(text)
+
+
+@settings(max_examples=1000)
+@given(st.text())
+def test_normalize_answer_matches_closure_oracle(text):
+    assert normalize_answer(text) == oracle_normalize_answer(text)
 
 
 def test_hand_worked_precision_recall_f1():
@@ -187,6 +203,69 @@ def test_per_relation_breakdown():
     birth_only = make_dataset(*[i for i in ds if i.relation == "birth"])
     alone = score_slot_filling(birth_only, preds[:2])
     assert report.per_relation["birth"].counts == alone.counts
+    # every group, in both modes, reports what scoring it alone reports
+    for match in ("exact", "overlap"):
+        report = score_slot_filling(ds, preds, match=match)
+        for rel, group in report.per_relation.items():
+            members = [i for i in ds if i.relation == rel]
+            ids = {i.id for i in members}
+            alone = score_slot_filling(
+                make_dataset(*members), [p for p in preds if p.instance_id in ids], match=match
+            )
+            assert group.to_dict() == alone.per_relation[rel].to_dict()
+
+
+_GOLDS = ["Honolulu, Hawaii", "Kenya", "Acme Corp"]
+_GUESSES = _GOLDS + ["the Kenya", "Acme", "Paris, France", "Hawaii Honolulu", "NoAnswerFound", ""]
+_MISSING = object()
+
+
+@st.composite
+def relation_cases(draw):
+    """A dataset whose instances carry a few relations (or none), with predictions."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([None, "r1", "r2", "r3"]),
+                st.none() | st.sampled_from(_GOLDS),
+                st.just(_MISSING) | st.none() | st.sampled_from(_GUESSES),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    instances, preds = [], []
+    for i, (relation, gold, guess) in enumerate(rows):
+        context = f"Filler words then {gold or 'nothing'} appears."
+        answers = ((context.index(gold), gold),) if gold else ()
+        instances.append(make_instance(id=f"i{i}", context=context, answers=answers, relation=relation))
+        if guess is not _MISSING:
+            preds.append(Prediction(f"i{i}", guess))
+    ds = make_dataset(*instances)
+    if draw(st.booleans()):
+        ds, _ = insert_no_answer_token(ds)
+    return ds, preds
+
+
+@settings(max_examples=300)
+@given(relation_cases(), st.sampled_from(["exact", "overlap"]))
+def test_per_relation_report_equals_scoring_the_relation_alone(case, match):
+    ds, preds = case
+    report = score_slot_filling(ds, preds, match=match)
+    relations = [i.relation for i in ds if i.relation is not None]
+    if not relations:
+        assert report.per_relation is None
+        return
+    assert list(report.per_relation) == list(dict.fromkeys(relations))
+    for rel, group in report.per_relation.items():
+        members = tuple(i for i in ds if i.relation == rel)
+        ids = {i.id for i in members}
+        alone = score_slot_filling(
+            replace(ds, instances=members), [p for p in preds if p.instance_id in ids], match=match
+        )
+        assert group.per_relation is None
+        assert group.to_dict() == alone.per_relation[rel].to_dict()
+        assert alone.to_dict() == dict(group.to_dict(), per_relation={rel: group.to_dict()})
 
 
 def test_no_relations_no_breakdown():
@@ -277,8 +356,9 @@ def test_challenge_accuracy_rejects_positives_and_empty():
     mixed = make_dataset(
         make_instance(id="c0", answers=(), origin="challenge_negative"),
         make_instance(id="p0"),
+        make_instance(id="p1"),
     )
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="all-negative dataset; 'p0' has answers"):
         score_challenge_accuracy(mixed, [])
 
 
@@ -289,6 +369,17 @@ def test_challenge_accuracy_maps_dummy_token():
         adapted, [Prediction("c0", "NoAnswerFound"), Prediction("c1", "real answer")]
     )
     assert report.accuracy == 0.5
+    assert report.to_dict() == {
+        "accuracy": 0.5,
+        "counts": {
+            "positives": 0,
+            "negatives": 2,
+            "answered": 1,
+            "correct": 0,
+            "no_answer_predictions": 1,
+            "missing": 0,
+        },
+    }
 
 
 def random_case(rng, size):

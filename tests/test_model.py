@@ -19,7 +19,7 @@ from slotqa import (
     write_dataset,
     write_instances,
 )
-from slotqa.model import sidecar_path
+from slotqa.model import read_predictions, sidecar_path
 
 from helpers import make_dataset, make_instance
 
@@ -114,6 +114,68 @@ def test_instance_from_dict_rejects_bool_start():
     d["answers"] = [{"start": True, "text": "a"}]
     with pytest.raises(ParseError):
         instance_from_dict(d)
+
+
+def _record(drop=(), **fields):
+    d = instance_to_dict(make_instance())
+    for key in drop:
+        del d[key]
+    d.update(fields)
+    return d
+
+
+_RECORD_FAULTS = [
+    ([], "expected a JSON object"),
+    (_record(drop=["split"], bogus=1), "bad instance fields, missing ['split'], unknown ['bogus']"),
+    (_record(answers={"x": 1}), "field 'answers' must be an array"),
+    (_record(answers=[{"start": 0, "text": "P", "end": 1}]), "answers[0] must be an object with start and text"),
+    (_record(answers=[{"start": True, "text": "P"}]), "answers[0].start must be an integer"),
+    (_record(answers=[{"start": 0, "text": 5}]), "answers[0].text must be a string"),
+    (_record(relation=3), "field 'relation' must be a string or null"),
+    (_record(id=7), "field 'id' must be a string"),
+]
+
+
+@pytest.mark.parametrize("record, message", _RECORD_FAULTS)
+def test_instance_from_dict_messages(record, message):
+    with pytest.raises(ParseError) as caught:
+        instance_from_dict(record, where="rec")
+    assert str(caught.value) == f"rec: {message}"
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("", "empty line"),
+        ("{oops", "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ]
+    + [(json.dumps(record), message) for record, message in _RECORD_FAULTS],
+)
+def test_read_instances_names_the_line_of_the_first_bad_record(tmp_path, bad_line, message):
+    good = json.dumps(_record())
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f"{good}\n{bad_line}\n{good}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        read_instances(path)
+    assert str(caught.value) == f"{path}: line 2: {message}"
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("", "empty line"),
+        ("nul", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ('{"id": "a"}', "expected an object with id and answer"),
+        ('{"id": 1, "answer": null}', "field 'id' must be a string"),
+        ('{"id": "a", "answer": 2}', "field 'answer' must be a string or null"),
+    ],
+)
+def test_read_predictions_names_the_line_of_the_first_bad_record(tmp_path, bad_line, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f'{{"id": "x", "answer": null}}\n{bad_line}\n', encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        read_predictions(path)
+    assert str(caught.value) == f"{path}: line 2: {message}"
 
 
 def test_jsonl_roundtrip(tmp_path):

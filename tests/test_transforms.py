@@ -120,6 +120,8 @@ def test_segment_matches_per_character_oracle(text):
         "One.\u200bTwo.",
         "Dr. Who. U.S. Army. J.R. Ewing! Ok",
         "x. y. Z.  ",
+        "He met Dr. Who. Then left.",
+        "a b\u3000c U.S. Army. x\ty J.R. Ewing! Ok",
     ],
 )
 def test_segment_matches_per_character_oracle_fixed(text):
