@@ -373,7 +373,9 @@ def cmd_validate(args) -> int:
 
 # --- replay ---
 
-# operation -> (input path keys, handler building [(recorded, candidate)] pairs)
+# operation -> (input path keys, types of its other recorded values, handler
+# building [(recorded, candidate)] pairs). A type names a parameter, except
+# "seed", which is the entry's own.
 
 
 def _rp_ingest_squad(entry, workdir):
@@ -389,8 +391,6 @@ def _rp_ingest_uwre(entry, workdir):
     pairs = [(Path(p["out"]), candidate)]
     templates_candidate = None
     templates_out = p.get("templates_out")
-    if templates_out is not None and not isinstance(templates_out, str):
-        raise ParseError(f"{p.where}: 'parameters.templates_out' must be a string or null")
     if templates_out:
         templates_candidate = str(workdir / Path(templates_out).name)
         pairs.append((Path(templates_out), Path(templates_candidate)))
@@ -467,16 +467,49 @@ def _rp_score_challenge(entry, workdir):
 
 
 _REPLAY = {
-    "ingest-squad": (("in",), _rp_ingest_squad),
-    "ingest-uwre": (("in",), _rp_ingest_uwre),
-    "negativize": (("in",), _rp_negativize),
-    "adapt-noanswer": (("in",), _rp_adapt),
-    "build-challenge": (("in", "templates"), _rp_build_challenge),
-    "build-uwre-plus": (("in", "pool"), _rp_build_uwre_plus),
-    "mix": (("base_path", "augment_path"), _rp_mix),
-    "predict-baseline": (("in",), _rp_predict_baseline),
-    "score": (("dataset", "preds"), _rp_score),
-    "score-challenge": (("dataset", "preds"), _rp_score_challenge),
+    "ingest-squad": (("in",), {"split": "a string"}, _rp_ingest_squad),
+    "ingest-uwre": (
+        ("in",),
+        {"split": "a string", "templates_out": "a string or null"},
+        _rp_ingest_uwre,
+    ),
+    "negativize": (("in",), {"keep_positives": "a boolean"}, _rp_negativize),
+    "adapt-noanswer": (("in",), {"token": "a string"}, _rp_adapt),
+    "build-challenge": (("in", "templates"), {"seed": "an integer"}, _rp_build_challenge),
+    "build-uwre-plus": (("in", "pool"), {"seed": "an integer"}, _rp_build_uwre_plus),
+    "mix": (
+        ("base_path", "augment_path"),
+        {"size": "an integer", "seed": "an integer"},
+        _rp_mix,
+    ),
+    "predict-baseline": (
+        ("in",),
+        {
+            "max_span_tokens": "an integer",
+            "no_answer_threshold": "a number",
+            "idf_source": "a string",
+        },
+        _rp_predict_baseline,
+    ),
+    "score": (
+        ("dataset", "preds"),
+        {"match": "a string", "noanswer_token": "a string or null"},
+        _rp_score,
+    ),
+    "score-challenge": (
+        ("dataset", "preds"),
+        {"noanswer_token": "a string or null"},
+        _rp_score_challenge,
+    ),
+}
+
+# JSON true and false are never numbers here
+_IS_TYPE = {
+    "a string": lambda value: isinstance(value, str),
+    "a string or null": lambda value: value is None or isinstance(value, str),
+    "a boolean": lambda value: isinstance(value, bool),
+    "an integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "a number": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
 }
 
 
@@ -526,7 +559,7 @@ def cmd_replay(args) -> int:
             if not isinstance(operation, str) or operation not in _REPLAY:
                 print(f"skip: step {i} ({operation}) is not a replayable operation")
                 continue
-            input_keys, handler = _REPLAY[operation]
+            input_keys, types, handler = _REPLAY[operation]
             where = f"{args.log}: step {i} ({operation})"
             parameters = entry.get("parameters", {})
             if not isinstance(parameters, dict):
@@ -540,6 +573,10 @@ def cmd_replay(args) -> int:
                 value = parameters.get(key)
                 if key in parameters and not (isinstance(value, str) and value):
                     raise ParseError(f"{where}: 'parameters.{key}' must be a non-empty string")
+            for key, kind in types.items():
+                record, name = (entry, key) if key == "seed" else (parameters, f"parameters.{key}")
+                if key in record and not _IS_TYPE[kind](record[key]):
+                    raise ParseError(f"{where}: '{name}' must be {kind}")
             for key in input_keys:
                 source = parameters.get(key)
                 if not source or not Path(source).exists():

@@ -331,13 +331,29 @@ def write_instances(instances: Iterable[Instance], path: str | Path) -> None:
             f.write("\n")
 
 
-def _decode_line(line: str) -> Any:
-    """One JSONL line as a JSON value; a ParseError says what is wrong, not where."""
-    line = line.rstrip("\n")
-    if not line:
+# json.loads's own settings; its scanner decodes one value at an offset
+_scan_once = json.JSONDecoder().scan_once
+
+
+def decode_line(text: str) -> Any:
+    """One JSONL line, without its terminator, as a JSON value.
+
+    A line that is one JSON value and nothing else is decoded by the scanner
+    alone. Every other line (JSON whitespace around the value, a BOM, an
+    error) goes to ``json.loads``, so the lines accepted, the values
+    returned and the errors worded are exactly ``json.loads``'s. A
+    ParseError says what is wrong, not where.
+    """
+    if not text:
         raise ParseError("empty line")
     try:
-        return json.loads(line)
+        value, end = _scan_once(text, 0)
+        if end == len(text):
+            return value
+    except (StopIteration, ValueError):
+        pass
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from e
 
@@ -348,7 +364,7 @@ def _read_jsonl(path: str | Path, parse) -> tuple:
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             try:
-                items.append(parse(_decode_line(line)))
+                items.append(parse(decode_line(line.rstrip("\n"))))
             except ParseError as e:
                 # the location is formatted only for the line that fails
                 raise ParseError(f"{path}: line {lineno}: {e}") from e.__cause__
@@ -385,29 +401,37 @@ def provenance_entries(meta: dict, where: str | Path) -> tuple[dict, ...]:
     return tuple(log)
 
 
+def read_sidecar(path: str | Path) -> Dataset:
+    """The metadata of the dataset at ``path``, as a Dataset without instances.
+
+    Without a sidecar the name is the file's stem, with no provenance and no
+    no-answer token. A sidecar that is not JSON, or holds a field of the
+    wrong type, is a ParseError naming the sidecar.
+    """
+    side = sidecar_path(path)
+    name = Path(path).stem
+    if not side.exists():
+        return Dataset(name=name)
+    with open(side, "r", encoding="utf-8") as f:
+        try:
+            meta = json.load(f)
+        except ValueError as e:  # bad JSON, or bytes that are not UTF-8
+            raise ParseError(f"{side}: invalid JSON: {e}") from e
+    if not isinstance(meta, dict):
+        raise ParseError(f"{side}: expected a JSON object")
+    name = meta.get("name", name)
+    token = meta.get("no_answer_token")
+    if not isinstance(name, str):
+        raise ParseError(f"{side}: name must be a string")
+    if token is not None and not isinstance(token, str):
+        raise ParseError(f"{side}: no_answer_token must be a string or null")
+    return Dataset(name=name, provenance_log=provenance_entries(meta, side), no_answer_token=token)
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Read a JSONL dataset, picking up the metadata sidecar when present."""
     instances = read_instances(path)
-    side = sidecar_path(path)
-    name = Path(path).stem
-    token = None
-    log: tuple[dict, ...] = ()
-    if side.exists():
-        with open(side, "r", encoding="utf-8") as f:
-            try:
-                meta = json.load(f)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{side}: invalid JSON: {e}") from e
-        if not isinstance(meta, dict):
-            raise ParseError(f"{side}: expected a JSON object")
-        name = meta.get("name", name)
-        token = meta.get("no_answer_token")
-        if not isinstance(name, str):
-            raise ParseError(f"{side}: name must be a string")
-        if token is not None and not isinstance(token, str):
-            raise ParseError(f"{side}: no_answer_token must be a string or null")
-        log = provenance_entries(meta, side)
-    return Dataset(instances=instances, name=name, provenance_log=log, no_answer_token=token)
+    return replace(read_sidecar(path), instances=instances)
 
 
 # --- prediction files: one {"id": ..., "answer": ...} object per line ---

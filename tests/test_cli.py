@@ -430,6 +430,53 @@ def test_replay_parameter_that_is_not_a_path_is_a_parse_error(tmp_path, operatio
     )
 
 
+@pytest.mark.parametrize(
+    "argv, key, value, kind",
+    [
+        (["adapt-noanswer"], "token", 5, "a string"),
+        (["predict-baseline"], "max_span_tokens", "8", "an integer"),
+        (["negativize", "--keep-positives"], "keep_positives", "yes", "a boolean"),
+    ],
+    ids=["token", "max_span_tokens", "keep_positives"],
+)
+def test_replay_parameter_of_the_wrong_type_is_a_parse_error(
+    tmp_path, squad_file, argv, key, value, kind
+):
+    pos, out = tmp_path / "pos.jsonl", tmp_path / "out.jsonl"
+    main(["ingest-squad", "--in", str(squad_file), "--split", "train", "--out", str(pos)])
+    assert main([*argv, "--in", str(pos), "--out", str(out)]) == 0
+    log = sidecar_path(out)
+    meta = json.loads(log.read_text(encoding="utf-8"))
+    step = len(meta["provenance_log"]) - 1
+    assert meta["provenance_log"][step]["operation"] == argv[0]
+    meta["provenance_log"][step]["parameters"][key] = value
+    log.write_text(json.dumps(meta), encoding="utf-8")
+    proc = _slotqa("replay", "--log", log)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        f"error: {log}: step {step} ({argv[0]}): 'parameters.{key}' must be {kind}\n"
+    )
+
+
+def test_replay_noanswer_token_of_the_wrong_type_is_a_parse_error(tmp_path, squad_file):
+    pos, preds, report = tmp_path / "pos.jsonl", tmp_path / "p.jsonl", tmp_path / "r.json"
+    main(["ingest-squad", "--in", str(squad_file), "--split", "train", "--out", str(pos)])
+    main(["predict-baseline", "--in", str(pos), "--out", str(preds)])
+    argv = ["score", "--dataset", str(pos), "--preds", str(preds), "--out", str(report)]
+    assert main([*argv, "--noanswer-token", "NoAnswerFound"]) == 0
+    log = sidecar_path(report)
+    meta = json.loads(log.read_text(encoding="utf-8"))
+    meta["provenance_log"][0]["parameters"]["noanswer_token"] = 5
+    log.write_text(json.dumps(meta), encoding="utf-8")
+    proc = _slotqa("replay", "--log", log)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        f"error: {log}: step 0 (score): 'parameters.noanswer_token' must be a string or null\n"
+    )
+
+
 def test_replay_templates_out_of_the_wrong_type_is_a_parse_error(tmp_path, uwre_file):
     out = tmp_path / "uwre.jsonl"
     assert main(["ingest-uwre", "--in", str(uwre_file), "--split", "train", "--out", str(out)]) == 0
@@ -455,6 +502,26 @@ def test_replay_mix_entry_without_seed_is_a_parse_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", "--log", str(log)]) == 2
     assert f"{log}: step 0 (mix): missing required key 'seed'" in capsys.readouterr().err
+    meta["provenance_log"][-1]["seed"] = "1"
+    log.write_text(json.dumps(meta), encoding="utf-8")
+    assert main(["replay", "--log", str(log)]) == 2
+    assert f"{log}: step 0 (mix): 'seed' must be an integer" in capsys.readouterr().err
+
+
+def test_mix_refuses_sidecars_that_load_dataset_rejects(tmp_path, capsys):
+    base, augment = tmp_path / "b.jsonl", tmp_path / "a.jsonl"
+    _jsonl(base, ["b0"])
+    _jsonl(augment, ["a0", "a1", "a2"])
+    for meta, message in (
+        ({"no_answer_token": 5, "provenance_log": ["abc"]}, "no_answer_token must be a string or null"),
+        ({"no_answer_token": "T", "provenance_log": ["abc"]}, "provenance_log must be a list of objects"),
+    ):
+        for path in (base, augment):
+            sidecar_path(path).write_text(json.dumps(meta), encoding="utf-8")
+        capsys.readouterr()
+        assert main(_mix_args(tmp_path, base, augment, [2])) == 2
+        assert capsys.readouterr().err == f"error: {sidecar_path(base)}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_sidecar_provenance_log_of_the_wrong_type_is_a_parse_error(tmp_path):

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -327,7 +328,28 @@ def test_parallel_scan_through_worker_processes(tmp_path, parallel):
     assert mixed_bytes(spec, base, augment, tmp_path / "out") == text_mode_outputs(
         base, augment, spec.sizes, spec.seed
     )
-    assert parallel and all(isinstance(pool, ProcessPoolExecutor) for pool in parallel)
+    # workers are forked only on Linux
+    forks = sys.platform == "linux"
+    assert parallel and all(isinstance(pool, ProcessPoolExecutor) == forks for pool in parallel)
+
+
+def test_mix_files_with_a_second_thread_alive_opens_no_pool(tmp_path, parallel):
+    base = tmp_path / "base.jsonl"
+    augment = tmp_path / "augment.jsonl"
+    base.write_bytes(("\n".join(LINE % f"b{i}" for i in range(5)) + "\n").encode())
+    augment.write_bytes("".join(LINE % f"a{i}" + "\n" for i in range(40)).encode())
+    spec = spec_for((3, 30, 50), seed=8)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        got = mixed_bytes(spec, base, augment, tmp_path / "out")
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert got == text_mode_outputs(base, augment, spec.sizes, spec.seed)
+    assert parallel and not any(isinstance(pool, ProcessPoolExecutor) for pool in parallel)
 
 
 class _BrokenPool:
@@ -369,19 +391,25 @@ def test_parallel_scan_falls_back_to_a_serial_scan(tmp_path, monkeypatch, pool):
     assert mixed_bytes(spec, base, augment, tmp_path / "fallback") == want
 
 
-# Scripts that call mix_files where no scan pool can be used, with every
-# input large enough for one.
+# Scripts that call mix_files with every input large enough for a scan pool;
+# each prints the kind of pool the scan got.
 _SCRIPT_HEAD = """
 import multiprocessing, sys
 from slotqa import MixSpec, mixer
 mixer._RANGE_MIN_BYTES = 1
 mixer._available_cpus = lambda: 2
+real_pool = mixer._scan_pool
+def pool_of(workers):
+    pool = real_pool(workers)
+    print(type(pool).__name__, flush=True)
+    return pool
+mixer._scan_pool = pool_of
 def run(args):
     mixer.mix_files(MixSpec(base="b", augment="a", seed=4, sizes=(5, 50)), *args)
 """
 SCRIPTS = {
-    # spawned workers re-import this script and must die of Python's bootstrap
-    # guard rather than run the whole script themselves
+    # no __main__ guard: the scan runs in forked workers, which never
+    # re-import this script, so it mixes once and finishes
     "unguarded": _SCRIPT_HEAD + """
 run(sys.argv[1:])
 with open(sys.argv[3] + ".done", "a") as f:
@@ -417,6 +445,8 @@ def test_mix_files_without_a_usable_pool_scans_serially(tmp_path, kind):
     )
     if kind == "unguarded":
         assert (tmp_path / "out.done").read_text() == "done\n"
+    forks = kind == "unguarded" and sys.platform == "linux"
+    assert proc.stdout.split() == ["ProcessPoolExecutor" if forks else "nullcontext"]
 
 
 BAD_LINES = {

@@ -2,7 +2,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from slotqa import (
     DataError,
@@ -19,7 +19,7 @@ from slotqa import (
     write_dataset,
     write_instances,
 )
-from slotqa.model import read_predictions, sidecar_path
+from slotqa.model import decode_line, read_predictions, sidecar_path
 
 from helpers import make_dataset, make_instance
 
@@ -264,6 +264,14 @@ def test_load_dataset_rejects_sidecar_name_or_token_of_the_wrong_type(tmp_path, 
         load_dataset(path)
 
 
+def test_load_dataset_rejects_a_sidecar_that_is_not_utf8(tmp_path):
+    path = tmp_path / "odd.jsonl"
+    write_instances([make_instance()], path)
+    sidecar_path(path).write_bytes(b'{"name": "caf\xe9"}')
+    with pytest.raises(ParseError, match=re.escape(f"{sidecar_path(path)}: invalid JSON: ")):
+        load_dataset(path)
+
+
 def test_derive_appends_provenance():
     ds = make_dataset(make_instance(), name="base")
     out = ds.derive(ds.instances, "negativize", {"keep_positives": False})
@@ -306,3 +314,62 @@ def test_serialization_roundtrip_property(ds):
     for inst in ds.instances:
         assert instance_from_dict(json.loads(dumps_instance(inst))) == inst
     assert validate_dataset(ds) == []
+
+
+# --- the JSONL line decoder against json.loads ---
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+_DUPLICATE_KEY_OBJECTS = st.lists(
+    st.tuples(st.sampled_from(["id", "a", ""]), _JSON_VALUES), max_size=4
+).map(lambda pairs: "{" + ",".join(f"{json.dumps(k)}:{json.dumps(v)}" for k, v in pairs) + "}")
+_FRAGMENTS = st.sampled_from(
+    [
+        "NaN", "-NaN", "Infinity", "-Infinity", "infinity", "nan", "1e999", "-0", "01", "1.",
+        ".5", '"\\u00e9"', '"\\ud800"', '"\\udc00\\ud800"', '"\\ud83d\\ude00"', '"\\u12"',
+        '"\\x"', '"\t"', '"a', "tru", "true", "null", "[1,]", '{"a":1,}', '{"id":"x"}{"id":"y"}',
+        "{", "}", "[", "]", ",", ":", '"', "\\",
+    ]
+)
+_JSONISH = st.text(alphabet='{}[]",:-+.0123456789eEtrufalsnNIinfy \\u\t\n\r\ufeff', max_size=12)
+_LINES = st.builds(
+    lambda bom, lead, body, trail, junk: bom + lead + body + trail + junk,
+    st.sampled_from([""] * 7 + ["\ufeff"]),
+    st.text(alphabet=" \t\n\r", max_size=2),
+    st.one_of(
+        st.builds(json.dumps, _JSON_VALUES, ensure_ascii=st.booleans()),
+        _DUPLICATE_KEY_OBJECTS,
+        _FRAGMENTS,
+        _JSONISH,
+    ),
+    st.text(alphabet=" \t\n\r", max_size=2),
+    st.sampled_from([""] * 9 + ["x", "]", "}", ",1", " 2", "\x00", "\u2028", "\u00a0"]),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_LINES)
+def test_decode_line_agrees_with_json_loads(text):
+    if not text:
+        with pytest.raises(ParseError, match="^empty line$"):
+            decode_line(text)
+        return
+    try:
+        want = json.loads(text)
+    except json.JSONDecodeError as e:
+        with pytest.raises(ParseError) as caught:
+            decode_line(text)
+        assert str(caught.value) == f"invalid JSON: {e}"
+        assert type(caught.value.__cause__) is type(e)
+        assert str(caught.value.__cause__) == str(e)
+    else:
+        # repr tells 1 from 1.0 and True, -0.0 from 0.0, and shows NaN
+        assert repr(decode_line(text)) == repr(want)
