@@ -84,6 +84,8 @@ class BaselineConfig:
     def validate(self) -> None:
         if self.max_span_tokens < 1:
             raise DataError(f"max_span_tokens must be at least 1, got {self.max_span_tokens}")
+        if not math.isfinite(self.no_answer_threshold):
+            raise DataError(f"no_answer_threshold must be finite, got {self.no_answer_threshold}")
         if self.no_answer_threshold < 0:
             raise DataError(f"no_answer_threshold must be non-negative, got {self.no_answer_threshold}")
         if self.idf_source not in ("self_corpus", "uniform"):

@@ -130,10 +130,6 @@ def ingest_squad(document: Any, split: str) -> tuple[Dataset, TransformReport]:
     return dataset, report
 
 
-def _first_occurrence(sentence: str, answer: str) -> int:
-    return sentence.find(answer)
-
-
 def ingest_uwre(
     lines: Iterable[str], split: str
 ) -> tuple[Dataset, list[QuestionTemplate], TransformReport]:
@@ -182,7 +178,7 @@ def ingest_uwre(
         for answer in answers:
             if not answer:
                 raise ParseError(f"line {lineno}: empty answer string")
-            start = _first_occurrence(sentence, answer)
+            start = sentence.find(answer)
             if start < 0:
                 bad = f"line {lineno}: answer {answer!r} not found in sentence"
                 break

@@ -10,7 +10,6 @@ smaller size is a subset of the sample at any larger size.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import random
 import sys
@@ -26,8 +25,10 @@ from .model import (
     ParseError,
     TransformReport,
     decode_line,
+    read_json,
     read_sidecar,
     sidecar_path,
+    write_sidecar,
 )
 
 DEFAULT_SIZES = (10**3, 10**4, 10**5, 10**6)
@@ -54,11 +55,7 @@ class MixSpec:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "MixSpec":
-        with open(path, "r", encoding="utf-8") as f:
-            try:
-                obj = json.load(f)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: invalid JSON: {e}") from e
+        obj = read_json(path)
         if not isinstance(obj, dict):
             raise ParseError(f"{path}: expected a JSON object")
         for key in ("base", "augment", "seed"):
@@ -84,11 +81,23 @@ class MixSpec:
         return spec
 
 
-def _selection(population: int, n: int, seed: int) -> list[int]:
-    """Ascending indices of the seeded sample; prefixes nest across n."""
-    permutation = list(range(population))
-    random.Random(seed).shuffle(permutation)
-    return sorted(permutation[: min(n, population)])
+def _ranks(population: int, seed: int) -> array:
+    """Each index's position in the seeded permutation of ``range(population)``.
+
+    The sample of size n is exactly the indices ranked below n, so samples
+    nest across n. The table takes 4 bytes per index.
+    """
+    order = array("I", range(population))
+    random.Random(seed).shuffle(order)
+    rank = array("I", bytes(order.itemsize * population))
+    for position, index in enumerate(order):
+        rank[index] = position
+    return rank
+
+
+def _selection(rank: array, n: int) -> list[int]:
+    """Ascending indices of the sample of size ``n``."""
+    return [index for index, r in enumerate(rank) if r < n]
 
 
 def sample_without_replacement(dataset: Dataset, n: int, seed: int) -> Dataset:
@@ -100,7 +109,7 @@ def sample_without_replacement(dataset: Dataset, n: int, seed: int) -> Dataset:
     if n < 0:
         raise DataError(f"sample size must be non-negative, got {n}")
     population = len(dataset.instances)
-    indices = _selection(population, n, seed)
+    indices = _selection(_ranks(population, seed), n)
     parameters: dict[str, Any] = {"n": n, "taken": len(indices)}
     if n > population:
         parameters["truncated_to_population"] = True
@@ -132,9 +141,10 @@ def mix(spec: MixSpec, base: Dataset, augment: Dataset) -> list[Dataset]:
             f"{base.no_answer_token!r} vs {augment.no_answer_token!r}"
         )
     population = len(augment.instances)
+    rank = _ranks(population, spec.seed)
     outputs = []
     for k in spec.sizes:
-        indices = _selection(population, k, spec.seed)
+        indices = _selection(rank, k)
         instances = base.instances + tuple(augment.instances[i] for i in indices)
         parameters: dict[str, Any] = {
             "base": spec.base,
@@ -363,14 +373,8 @@ def mix_files(
             f"{len(colliding)} instance ids occur in both base and augment: {colliding[:10]}"
         )
 
-    # rank[i] is the position of augment line i in the seeded permutation;
-    # the output of size k takes exactly the lines ranked below k
-    order = array("I", range(population))
-    random.Random(spec.seed).shuffle(order)
-    rank = array("I", bytes(order.itemsize * population))
-    for position, index in enumerate(order):
-        rank[index] = position
-    del order
+    # the output of size k takes exactly the augment lines ranked below k
+    rank = _ranks(population, spec.seed)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     with contextlib.ExitStack() as stack:
@@ -408,14 +412,7 @@ def mix_files(
         if k > population:
             parameters["truncated_to_population"] = True
         entry = {"operation": "mix", "parameters": parameters, "seed": spec.seed}
-        meta = {
-            "name": name,
-            "no_answer_token": base_token,
-            "provenance_log": list(base_meta.provenance_log) + [entry],
-        }
-        with open(sidecar_path(out_path), "w", encoding="utf-8", newline="\n") as f:
-            json.dump(meta, f, ensure_ascii=False, indent=2)
-            f.write("\n")
+        write_sidecar(out_path, name, base_token, [*base_meta.provenance_log, entry])
         report = TransformReport(
             operation="mix",
             input_count=len(base_ids) + population,

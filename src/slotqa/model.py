@@ -350,11 +350,11 @@ def decode_line(text: str) -> Any:
         value, end = _scan_once(text, 0)
         if end == len(text):
             return value
-    except (StopIteration, ValueError):
+    except (StopIteration, ValueError, RecursionError):
         pass
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
         raise ParseError(f"invalid JSON: {e}") from e
 
 
@@ -362,13 +362,34 @@ def _read_jsonl(path: str | Path, parse) -> tuple:
     """``parse`` applied to every decoded line; errors are prefixed with the line."""
     items = []
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            try:
-                items.append(parse(decode_line(line.rstrip("\n"))))
-            except ParseError as e:
-                # the location is formatted only for the line that fails
-                raise ParseError(f"{path}: line {lineno}: {e}") from e.__cause__
+        try:
+            for lineno, line in enumerate(f, start=1):
+                try:
+                    items.append(parse(decode_line(line.rstrip("\n"))))
+                except ParseError as e:
+                    # the location is formatted only for the line that fails
+                    raise ParseError(f"{path}: line {lineno}: {e}") from e.__cause__
+        except UnicodeDecodeError as e:
+            raise _utf8_error(path) from e
     return tuple(items)
+
+
+def _utf8_error(path: str | Path) -> ParseError:
+    """The first line of a file that is not UTF-8, found by reading it again.
+
+    The text-mode reader decodes ahead of the line it yields, so its error
+    cannot name the line. Bytes split into lines as universal newlines
+    split them, so the numbering is the reader's.
+    """
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f.read().splitlines(), start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return ParseError(
+                    f"{path}: line {lineno}: invalid UTF-8 at byte {e.start}: {e.reason}"
+                )
+    return ParseError(f"{path}: invalid UTF-8")
 
 
 def read_instances(path: str | Path) -> tuple[Instance, ...]:
@@ -380,17 +401,38 @@ def sidecar_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".prov.json")
 
 
+def read_json(path: str | Path) -> Any:
+    """The JSON value a whole file holds.
+
+    Bytes that are not UTF-8, text that is not JSON, and nesting too deep
+    for the decoder are a ParseError naming the file.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except (ValueError, RecursionError) as e:
+            raise ParseError(f"{path}: invalid JSON: {e}") from e
+
+
+def write_json(obj: Any, path: str | Path) -> None:
+    """Indented UTF-8 JSON and a final newline: the form of every sidecar and report."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        json.dump(obj, f, ensure_ascii=False, indent=2)
+        f.write("\n")
+
+
+def write_sidecar(
+    path: str | Path, name: str, no_answer_token: str | None, provenance_log: Iterable[dict]
+) -> None:
+    """The metadata sidecar of the file at ``path``."""
+    meta = {"name": name, "no_answer_token": no_answer_token, "provenance_log": list(provenance_log)}
+    write_json(meta, sidecar_path(path))
+
+
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write instances as JSONL plus the metadata sidecar."""
     write_instances(dataset.instances, path)
-    meta = {
-        "name": dataset.name,
-        "no_answer_token": dataset.no_answer_token,
-        "provenance_log": list(dataset.provenance_log),
-    }
-    with open(sidecar_path(path), "w", encoding="utf-8", newline="\n") as f:
-        json.dump(meta, f, ensure_ascii=False, indent=2)
-        f.write("\n")
+    write_sidecar(path, dataset.name, dataset.no_answer_token, dataset.provenance_log)
 
 
 def provenance_entries(meta: dict, where: str | Path) -> tuple[dict, ...]:
@@ -412,11 +454,7 @@ def read_sidecar(path: str | Path) -> Dataset:
     name = Path(path).stem
     if not side.exists():
         return Dataset(name=name)
-    with open(side, "r", encoding="utf-8") as f:
-        try:
-            meta = json.load(f)
-        except ValueError as e:  # bad JSON, or bytes that are not UTF-8
-            raise ParseError(f"{side}: invalid JSON: {e}") from e
+    meta = read_json(side)
     if not isinstance(meta, dict):
         raise ParseError(f"{side}: expected a JSON object")
     name = meta.get("name", name)

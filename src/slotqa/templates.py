@@ -84,11 +84,3 @@ def by_relation(templates: Sequence[QuestionTemplate]) -> dict[str, list[Questio
     for t in templates:
         grouped.setdefault(t.relation, []).append(t)
     return grouped
-
-
-def first_template(templates: Sequence[QuestionTemplate], relation: str) -> QuestionTemplate:
-    """The first template listed for a relation; raises when none exists."""
-    for t in templates:
-        if t.relation == relation:
-            return t
-    raise DataError(f"no question template for relation {relation!r}")

@@ -45,7 +45,7 @@ from slotqa import (
     strip_no_answer_token,
     validate_dataset,
 )
-from slotqa.templates import first_template
+from slotqa.templates import by_relation
 
 from helpers import (
     char_level_survivors,
@@ -326,7 +326,7 @@ def test_criterion_06_challenge_invariants_and_determinism(tmp_path):
         assert donor.lower() != src.subject_entity.lower()
         assert donor.lower() not in src.context.lower()
         assert chal.question == instantiate(
-            first_template(inventory, src.relation), RelationQuery(src.relation, donor)
+            by_relation(inventory)[src.relation][0], RelationQuery(src.relation, donor)
         )
 
     # fresh interpreters with different hash seeds must agree byte for byte
@@ -584,7 +584,7 @@ def test_criterion_09_bundled_pipeline_is_exact():
 def test_criterion_10_template_instantiation():
     templates, rejections = load_templates(FIXTURES / "templates.tsv")
     assert rejections == []
-    template = first_template(templates, "place_of_birth")
+    template = by_relation(templates)["place_of_birth"][0]
     question = instantiate(template, RelationQuery("place_of_birth", "Obama"))
     assert question == "Where was Obama born?"
     ok(10, "inventory template yields 'Where was Obama born?'")

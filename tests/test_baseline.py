@@ -62,8 +62,9 @@ def test_tokenize_matches_finditer_oracle(text):
 def test_config_validation():
     with pytest.raises(DataError):
         BaselineConfig(max_span_tokens=0).validate()
-    with pytest.raises(DataError):
-        BaselineConfig(no_answer_threshold=-0.5).validate()
+    for threshold in (-0.5, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DataError):
+            BaselineConfig(no_answer_threshold=threshold).validate()
     with pytest.raises(DataError):
         BaselineConfig(idf_source="pretrained").validate()
     BaselineConfig().validate()

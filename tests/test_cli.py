@@ -270,6 +270,56 @@ def test_mix_usage_errors_exit_2(tmp_path, capsys):
     assert augment.read_bytes() == kept
 
 
+_NOT_UTF8 = b'{"id": "caf\xe9"}'
+_TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("content", [_NOT_UTF8, _TOO_DEEP], ids=["not_utf8", "too_deep"])
+@pytest.mark.parametrize("reader", ["ingest-squad", "replay", "mix", "sidecar"])
+def test_a_json_file_that_cannot_be_decoded_is_a_parse_error(tmp_path, capsys, reader, content):
+    bad, data = tmp_path / "bad.json", tmp_path / "d.jsonl"
+    _jsonl(data, ["x0"])
+    argv = {
+        "ingest-squad": ["ingest-squad", "--in", bad, "--split", "train", "--out", tmp_path / "o"],
+        "replay": ["replay", "--log", bad],
+        "mix": ["mix", "--config", bad, "--base", data, "--augment", data, "--out-dir", tmp_path],
+        "sidecar": ["validate", "--in", data],
+    }[reader]
+    if reader == "sidecar":
+        bad = sidecar_path(data)
+    bad.write_bytes(content)
+    assert main([str(arg) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON: ")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (_NOT_UTF8, "invalid UTF-8 at byte 11: invalid continuation byte\n"),
+        (_TOO_DEEP, "invalid JSON: maximum recursion depth exceeded"),
+    ],
+    ids=["not_utf8", "too_deep"],
+)
+def test_validate_and_mix_name_the_jsonl_line_that_cannot_be_decoded(tmp_path, capsys, line, message):
+    base, augment = tmp_path / "base.jsonl", tmp_path / "augment.jsonl"
+    _jsonl(base, ["b0"])
+    _jsonl(augment, ["a0"])
+    augment.write_bytes(augment.read_bytes() + line + b"\n")
+    for argv in (["validate", "--in", str(augment)], _mix_args(tmp_path, base, augment, [1])):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {augment}: line 2: {message}")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_predict_baseline_refuses_a_threshold_that_is_not_finite(tmp_path, capsys, value):
+    data, preds = tmp_path / "d.jsonl", tmp_path / "p.jsonl"
+    _jsonl(data, ["x0"])
+    assert main(["predict-baseline", "--in", str(data), "--out", str(preds), f"--threshold={value}"]) == 1
+    assert capsys.readouterr().err == f"error: no_answer_threshold must be finite, got {float(value)}\n"
+    assert not preds.exists()
+    assert not sidecar_path(preds).exists()
+
+
 def test_same_bytes_compares_block_by_block(tmp_path, monkeypatch):
     a, b = tmp_path / "a", tmp_path / "b"
     for left, right, same in [
@@ -321,6 +371,45 @@ def test_replay_confirms_then_catches_tampering(tmp_path, squad_file, capsys):
     neg.write_text(raw, encoding="utf-8")
     assert main(["replay", "--log", str(sidecar_path(adapted))]) == 1
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_replay_reproduces_every_operation_and_optional_flag(tmp_path, uwre_file, capsys):
+    data, templates = tmp_path / "uwre.jsonl", tmp_path / "templates.tsv"
+    challenge, plus = tmp_path / "challenge.jsonl", tmp_path / "plus.jsonl"
+    preds, challenge_preds = tmp_path / "preds.jsonl", tmp_path / "cpreds.jsonl"
+    report, challenge_report = tmp_path / "report.json", tmp_path / "creport.json"
+    chain = [
+        ["ingest-uwre", "--in", uwre_file, "--split", "train", "--out", data,
+         "--templates-out", templates],
+        ["build-challenge", "--in", data, "--templates", templates, "--seed", 5,
+         "--out", challenge],
+        ["build-uwre-plus", "--in", data, "--pool", challenge, "--seed", 11,
+         "--split-label", "train", "--out", plus],
+        ["predict-baseline", "--in", plus, "--out", preds, "--threshold", 0.5,
+         "--idf", "uniform", "--max-span-tokens", 4],
+        ["score", "--dataset", plus, "--preds", preds, "--out", report,
+         "--match", "overlap", "--noanswer-token", "X"],
+        ["predict-baseline", "--in", challenge, "--out", challenge_preds],
+        ["score-challenge", "--dataset", challenge, "--preds", challenge_preds,
+         "--out", challenge_report],
+    ]
+    for argv in chain:
+        assert main([str(arg) for arg in argv]) == 0
+    ingested = [(0, "ingest-uwre", data), (0, "ingest-uwre", templates)]
+    replayed = {
+        challenge: [*ingested, (1, "build-challenge", challenge)],
+        plus: [*ingested, (1, "build-uwre-plus", plus)],
+        preds: [(0, "predict-baseline", preds)],
+        report: [(0, "score", report)],
+        challenge_preds: [(0, "predict-baseline", challenge_preds)],
+        challenge_report: [(0, "score-challenge", challenge_report)],
+    }
+    for output, outputs in replayed.items():
+        capsys.readouterr()
+        assert main(["replay", "--log", str(sidecar_path(output))]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"ok: step {step} ({operation}) reproduces {path}" for step, operation, path in outputs
+        ]
 
 
 def test_replay_missing_input_is_usage_error(tmp_path, squad_file):

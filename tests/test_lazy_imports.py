@@ -14,7 +14,7 @@ import pytest
 
 import slotqa
 from slotqa import BaselineConfig, DEFAULT_NO_ANSWER_TOKEN, cli
-from slotqa.model import Prediction, write_instances, write_predictions
+from slotqa.model import Prediction, read_sidecar, write_instances, write_predictions
 
 from helpers import make_instance
 
@@ -111,15 +111,18 @@ def test_unknown_names_raise_and_submodules_still_import():
     assert templates.PLACEHOLDER == slotqa.PLACEHOLDER
 
 
-def test_parser_defaults_are_the_library_defaults():
-    parser = cli.build_parser()
-    args = parser.parse_args(["predict-baseline", "--in", "x", "--out", "y"])
-    assert cli._baseline_config(args) == BaselineConfig()
-    args = parser.parse_args(
-        ["predict-baseline", "--in", "x", "--out", "y", "--threshold", "6", "--idf", "uniform"]
-    )
-    assert cli._baseline_config(args) == BaselineConfig(no_answer_threshold=6.0, idf_source="uniform")
-    args = parser.parse_args(["adapt-noanswer", "--in", "x", "--out", "y"])
+def test_parser_defaults_are_the_library_defaults(tmp_path, capsys):
+    dataset, preds = tmp_path / "d.jsonl", tmp_path / "p.jsonl"
+    write_instances([make_instance(id="a")], dataset)
+    argv = ["predict-baseline", "--in", str(dataset), "--out", str(preds)]
+    for flags, config in [
+        ([], BaselineConfig()),
+        (["--threshold", "6", "--idf", "uniform"], BaselineConfig(no_answer_threshold=6.0, idf_source="uniform")),
+    ]:
+        assert cli.main([*argv, *flags]) == 0
+        recorded = read_sidecar(preds).provenance_log[0]["parameters"]
+        assert recorded == {"in": str(dataset), "out": str(preds), **config.to_dict()}
+    args = cli.build_parser().parse_args(["adapt-noanswer", "--in", "x", "--out", "y"])
     assert args.token == DEFAULT_NO_ANSWER_TOKEN
     from slotqa.transforms import DEFAULT_NO_ANSWER_TOKEN as reexported
 

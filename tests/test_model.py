@@ -178,6 +178,23 @@ def test_read_predictions_names_the_line_of_the_first_bad_record(tmp_path, bad_l
     assert str(caught.value) == f"{path}: line 2: {message}"
 
 
+def test_read_instances_names_the_line_that_is_not_utf8_as_text_mode_numbers_it(tmp_path):
+    good = json.dumps(_record()).encode("utf-8")
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(good + b"\r\n" + good + b"\r" + b'{"id": "caf\xe9"}\n' + good + b"\n")
+    with pytest.raises(ParseError) as caught:
+        read_instances(path)
+    assert str(caught.value) == f"{path}: line 3: invalid UTF-8 at byte 11: invalid continuation byte"
+
+
+def test_read_instances_refuses_a_line_nested_too_deep(tmp_path):
+    path = tmp_path / "deep.jsonl"
+    path.write_text(json.dumps(_record()) + "\n" + "[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    prefix = f"{path}: line 2: invalid JSON: maximum recursion depth exceeded"
+    with pytest.raises(ParseError, match="^" + re.escape(prefix)):
+        read_instances(path)
+
+
 def test_jsonl_roundtrip(tmp_path):
     ds = make_dataset(
         make_instance(relation="r", subject_entity="Obama"),
