@@ -32,9 +32,7 @@ _HOMES = {
     "score_challenge_accuracy": "metrics",
     "score_slot_filling": "metrics",
     "MixSpec": "mixer",
-    "mix": "mixer",
     "mix_files": "mixer",
-    "sample_without_replacement": "mixer",
     "DEFAULT_NO_ANSWER_TOKEN": "model",
     "Dataset": "model",
     "DataError": "model",
@@ -67,6 +65,8 @@ _HOMES = {
     "strip_no_answer_token": "transforms",
 }
 
+__all__ = list(_HOMES)
+
 
 def __getattr__(name: str):
     home = _HOMES.get(name)
@@ -81,55 +81,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
 
-
-__all__ = [
-    "BaselineConfig",
-    "DataError",
-    "Dataset",
-    "DEFAULT_NO_ANSWER_TOKEN",
-    "EvalReport",
-    "IdfTable",
-    "Instance",
-    "MixSpec",
-    "ParseError",
-    "PLACEHOLDER",
-    "Prediction",
-    "QuestionTemplate",
-    "RelationQuery",
-    "SentenceBoundary",
-    "Span",
-    "TransformReport",
-    "Violation",
-    "build_challenge_set",
-    "build_idf",
-    "build_uwre_plus",
-    "derive_seed",
-    "dumps_instance",
-    "ingest_squad",
-    "ingest_uwre",
-    "insert_no_answer_token",
-    "instance_from_dict",
-    "instance_to_dict",
-    "instantiate",
-    "load_dataset",
-    "load_templates",
-    "mix",
-    "mix_files",
-    "negativize_squad",
-    "normalize_answer",
-    "predict",
-    "predict_dataset",
-    "read_instances",
-    "read_predictions",
-    "sample_without_replacement",
-    "save_templates",
-    "score_challenge_accuracy",
-    "score_slot_filling",
-    "segment_sentences",
-    "strip_no_answer_token",
-    "uniform_idf",
-    "validate_dataset",
-    "write_dataset",
-    "write_instances",
-    "write_predictions",
-]

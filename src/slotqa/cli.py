@@ -38,6 +38,7 @@ from .model import (
     load_dataset,
     provenance_entries,
     read_json,
+    read_lines,
     read_predictions,
     validate_dataset,
     write_dataset,
@@ -147,8 +148,7 @@ def _ingest_uwre(args) -> str:
     from .ingest import ingest_uwre
     from .templates import save_templates
 
-    with open(args.in_path, "r", encoding="utf-8") as f:
-        dataset, inventory, report = ingest_uwre(f, args.split)
+    dataset, inventory, report = ingest_uwre(read_lines(args.in_path), args.split)
     wrote = _save(args, dataset, report)
     message = f"{wrote} ({report.skipped} dropped of {report.input_count} records)"
     if args.templates_out:

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from .model import (
-    Dataset,
     DataError,
     ParseError,
     TransformReport,
@@ -61,6 +60,9 @@ class MixSpec:
         for key in ("base", "augment", "seed"):
             if key not in obj:
                 raise ParseError(f"{path}: missing key {key!r}")
+        for key in ("base", "augment"):
+            if not isinstance(obj[key], str):
+                raise ParseError(f"{path}: {key!r} must be a string")
         if isinstance(obj["seed"], bool) or not isinstance(obj["seed"], int):
             raise ParseError(f"{path}: 'seed' must be an integer")
         sizes = obj.get("sizes", list(DEFAULT_SIZES))
@@ -72,8 +74,8 @@ class MixSpec:
         if unknown:
             raise ParseError(f"{path}: unknown keys {sorted(unknown)}")
         spec = cls(
-            base=str(obj["base"]),
-            augment=str(obj["augment"]),
+            base=obj["base"],
+            augment=obj["augment"],
             seed=obj["seed"],
             sizes=tuple(sizes),
         )
@@ -93,77 +95,6 @@ def _ranks(population: int, seed: int) -> array:
     for position, index in enumerate(order):
         rank[index] = position
     return rank
-
-
-def _selection(rank: array, n: int) -> list[int]:
-    """Ascending indices of the sample of size ``n``."""
-    return [index for index, r in enumerate(rank) if r < n]
-
-
-def sample_without_replacement(dataset: Dataset, n: int, seed: int) -> Dataset:
-    """A seeded uniform sample of n instances, in original relative order.
-
-    Requests beyond the population return the whole dataset, recorded as a
-    truncation in the provenance entry.
-    """
-    if n < 0:
-        raise DataError(f"sample size must be non-negative, got {n}")
-    population = len(dataset.instances)
-    indices = _selection(_ranks(population, seed), n)
-    parameters: dict[str, Any] = {"n": n, "taken": len(indices)}
-    if n > population:
-        parameters["truncated_to_population"] = True
-    return dataset.derive(
-        [dataset.instances[i] for i in indices],
-        "sample",
-        parameters,
-        seed=seed,
-    )
-
-
-def mix(spec: MixSpec, base: Dataset, augment: Dataset) -> list[Dataset]:
-    """Concatenate the base with nested seeded samples of the augment.
-
-    Emits one dataset per requested size k, named ``{base}+{augment}@{k}``
-    and holding ``len(base) + min(k, len(augment))`` instances: all of the
-    base followed by the sample, each side in original order.
-    """
-    spec.validate()
-    base_ids = {inst.id for inst in base}
-    colliding = sorted(base_ids & {inst.id for inst in augment})
-    if colliding:
-        raise DataError(
-            f"{len(colliding)} instance ids occur in both base and augment: {colliding[:10]}"
-        )
-    if base.no_answer_token != augment.no_answer_token:
-        raise DataError(
-            "cannot mix datasets with different no-answer adaptations: "
-            f"{base.no_answer_token!r} vs {augment.no_answer_token!r}"
-        )
-    population = len(augment.instances)
-    rank = _ranks(population, spec.seed)
-    outputs = []
-    for k in spec.sizes:
-        indices = _selection(rank, k)
-        instances = base.instances + tuple(augment.instances[i] for i in indices)
-        parameters: dict[str, Any] = {
-            "base": spec.base,
-            "augment": spec.augment,
-            "size": k,
-            "taken": len(indices),
-        }
-        if k > population:
-            parameters["truncated_to_population"] = True
-        entry = {"operation": "mix", "parameters": parameters, "seed": spec.seed}
-        outputs.append(
-            Dataset(
-                instances=instances,
-                name=f"{spec.base}+{spec.augment}@{k}",
-                provenance_log=base.provenance_log + (entry,),
-                no_answer_token=base.no_answer_token,
-            )
-        )
-    return outputs
 
 
 # Each scan worker gets at least this many bytes. Forking two workers and
@@ -330,15 +261,15 @@ def mix_files(
     augment_path: str | Path,
     out_dir: str | Path,
 ) -> list[tuple[str, Path, TransformReport]]:
-    """Streaming variant of :func:`mix` for large files.
+    """Write ``{base}+{augment}@{k}.jsonl``, the base then the augment's sample, per size k.
 
-    Lines are copied verbatim, so inputs must already be canonical JSONL.
-    Selection is identical to the in-memory mix under the same seed. Each
-    input is read twice, whatever the number of sizes: once to validate
-    every line and count the augment, once to copy. Files of 8 MiB or more
-    are validated by worker processes, one per available CPU and per 4 MiB.
-    The workers are forked: they share this process's pages instead of
-    starting an interpreter, and a calling script needs no
+    Each output's sidecar extends the base's provenance log by a ``mix``
+    entry. Lines are copied verbatim, so inputs must already be canonical
+    JSONL. Each input is read twice, whatever the number of sizes: once to
+    validate every line and count the augment, once to copy. Files of 8 MiB
+    or more are validated by worker processes, one per available CPU and per
+    4 MiB. The workers are forked: they share this process's pages instead
+    of starting an interpreter, and a calling script needs no
     ``if __name__ == "__main__"`` guard. Off Linux, while other threads are
     alive, in a daemonic process, or if no pool can be used, the scan runs
     in this process. Memory stays bounded by the base ids and a rank table

@@ -358,38 +358,40 @@ def decode_line(text: str) -> Any:
         raise ParseError(f"invalid JSON: {e}") from e
 
 
-def _read_jsonl(path: str | Path, parse) -> tuple:
-    """``parse`` applied to every decoded line; errors are prefixed with the line."""
-    items = []
+def read_lines(path: str | Path) -> Iterator[str]:
+    """The lines of a UTF-8 text file, as text-mode iteration yields them.
+
+    Bytes that are not UTF-8 are a ParseError naming the first bad line.
+    Text mode decodes ahead of the line it yields, so that line is found by
+    reading the file again, split into lines as universal newlines split it.
+    """
     with open(path, "r", encoding="utf-8") as f:
         try:
-            for lineno, line in enumerate(f, start=1):
-                try:
-                    items.append(parse(decode_line(line.rstrip("\n"))))
-                except ParseError as e:
-                    # the location is formatted only for the line that fails
-                    raise ParseError(f"{path}: line {lineno}: {e}") from e.__cause__
-        except UnicodeDecodeError as e:
-            raise _utf8_error(path) from e
-    return tuple(items)
-
-
-def _utf8_error(path: str | Path) -> ParseError:
-    """The first line of a file that is not UTF-8, found by reading it again.
-
-    The text-mode reader decodes ahead of the line it yields, so its error
-    cannot name the line. Bytes split into lines as universal newlines
-    split them, so the numbering is the reader's.
-    """
+            yield from f
+            return
+        except UnicodeDecodeError:
+            pass
     with open(path, "rb") as f:
         for lineno, line in enumerate(f.read().splitlines(), start=1):
             try:
                 line.decode("utf-8")
             except UnicodeDecodeError as e:
-                return ParseError(
+                raise ParseError(
                     f"{path}: line {lineno}: invalid UTF-8 at byte {e.start}: {e.reason}"
-                )
-    return ParseError(f"{path}: invalid UTF-8")
+                ) from e
+    raise ParseError(f"{path}: invalid UTF-8")
+
+
+def _read_jsonl(path: str | Path, parse) -> tuple:
+    """``parse`` applied to every decoded line; errors are prefixed with the line."""
+    items = []
+    for lineno, line in enumerate(read_lines(path), start=1):
+        try:
+            items.append(parse(decode_line(line.rstrip("\n"))))
+        except ParseError as e:
+            # the location is formatted only for the line that fails
+            raise ParseError(f"{path}: line {lineno}: {e}") from e.__cause__
+    return tuple(items)
 
 
 def read_instances(path: str | Path) -> tuple[Instance, ...]:

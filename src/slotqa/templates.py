@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .model import DataError, ParseError, QuestionTemplate, RelationQuery
+from .model import DataError, ParseError, QuestionTemplate, RelationQuery, read_lines
 
 PLACEHOLDER = "XXX"
 
@@ -45,30 +45,29 @@ def load_templates(path: str | Path) -> tuple[list[QuestionTemplate], list[str]]
     templates: list[QuestionTemplate] = []
     rejections: list[str] = []
     seen: set[tuple[str, str]] = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected 2 tab-separated fields, got {len(parts)}"
-                )
-            relation, pattern = parts
-            if not relation:
-                rejections.append(f"line {lineno}: empty relation")
-                continue
-            if pattern.count(PLACEHOLDER) != 1:
-                rejections.append(
-                    f"line {lineno}: pattern must contain {PLACEHOLDER!r} exactly once: {pattern!r}"
-                )
-                continue
-            key = (relation, pattern)
-            if key in seen:
-                continue
-            seen.add(key)
-            templates.append(QuestionTemplate(relation, pattern))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(
+                f"{path}: line {lineno}: expected 2 tab-separated fields, got {len(parts)}"
+            )
+        relation, pattern = parts
+        if not relation:
+            rejections.append(f"line {lineno}: empty relation")
+            continue
+        if pattern.count(PLACEHOLDER) != 1:
+            rejections.append(
+                f"line {lineno}: pattern must contain {PLACEHOLDER!r} exactly once: {pattern!r}"
+            )
+            continue
+        key = (relation, pattern)
+        if key in seen:
+            continue
+        seen.add(key)
+        templates.append(QuestionTemplate(relation, pattern))
     return templates, rejections
 
 

@@ -7,6 +7,7 @@ than itself.
 
 from __future__ import annotations
 
+import random
 import re
 import string
 
@@ -225,3 +226,14 @@ def char_level_survivors(context, spans):
         if not any(pos in covered for pos in range(b.start, b.end)):
             survivors.append(context[b.start : b.end])
     return survivors
+
+
+def oracle_sample(population, k, seed):
+    """Ascending indices of the seeded sample of size k from ``range(population)``.
+
+    The sorted first k of one seeded shuffle of every index, so the samples
+    under one seed nest across k and a k beyond the population takes all.
+    """
+    order = list(range(population))
+    random.Random(seed).shuffle(order)
+    return sorted(order[:k])

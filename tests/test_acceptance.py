@@ -33,17 +33,17 @@ from slotqa import (
     ingest_uwre,
     insert_no_answer_token,
     instantiate,
+    load_dataset,
     load_templates,
-    mix,
     mix_files,
     negativize_squad,
     normalize_answer,
     predict_dataset,
-    sample_without_replacement,
     score_challenge_accuracy,
     score_slot_filling,
     strip_no_answer_token,
     validate_dataset,
+    write_dataset,
 )
 from slotqa.templates import by_relation
 
@@ -448,14 +448,21 @@ def synthetic_dataset(n: int, prefix: str) -> Dataset:
 def test_criterion_08_mixing_and_streaming_budget(tmp_path):
     base = synthetic_dataset(100, "b")
     augment = synthetic_dataset(20000, "a")
+    write_dataset(base, tmp_path / "b.jsonl")
+    write_dataset(augment, tmp_path / "a.jsonl")
     spec = MixSpec(base="b", augment="a", seed=13, sizes=(1000, 10000))
-    small, large = mix(spec, base, augment)
+    small, large = (
+        load_dataset(path)
+        for _, path, _ in mix_files(spec, tmp_path / "b.jsonl", tmp_path / "a.jsonl", tmp_path / "m1")
+    )
     assert [d.name for d in (small, large)] == ["b+a@1000", "b+a@10000"]
     assert len(small) == 100 + 1000
     assert len(large) == 100 + 10000
     assert {i.id for i in small} <= {i.id for i in large}
-    again = mix(spec, base, augment)
-    assert small.instances == again[0].instances and large.instances == again[1].instances
+    again = mix_files(spec, tmp_path / "b.jsonl", tmp_path / "a.jsonl", tmp_path / "m2")
+    assert [path.read_bytes() for _, path, _ in again] == [
+        (tmp_path / "m1" / f"{d.name}.jsonl").read_bytes() for d in (small, large)
+    ]
 
     # streaming over a million-line augment stays within time and memory budget
     line = (

@@ -310,6 +310,38 @@ def test_validate_and_mix_name_the_jsonl_line_that_cannot_be_decoded(tmp_path, c
         assert capsys.readouterr().err.startswith(f"error: {augment}: line 2: {message}")
 
 
+@pytest.mark.parametrize(
+    "reader, content, byte",
+    [
+        (
+            "ingest-uwre",
+            UWRE_TSV.splitlines(keepends=True)[0].encode("utf-8")
+            + b"r\tWhere was XXX born?\tCaf\xe9\tCaf\xe9 was born.\t\n",
+            25,
+        ),
+        ("build-challenge", b"place_of_birth\tWhere was XXX born?\nr\tWho is caf\xe9 XXX?\n", 12),
+    ],
+    ids=["ingest-uwre", "build-challenge"],
+)
+def test_a_tsv_file_that_is_not_utf8_names_its_line(tmp_path, uwre_file, reader, content, byte):
+    # the byte 0xe9 on the second line is not UTF-8
+    bad, data = tmp_path / "bad.tsv", tmp_path / "d.jsonl"
+    bad.write_bytes(content)
+    assert main(["ingest-uwre", "--in", str(uwre_file), "--split", "train", "--out", str(data)]) == 0
+    argv = {
+        "ingest-uwre": ["ingest-uwre", "--in", bad, "--split", "train", "--out", tmp_path / "o"],
+        "build-challenge": ["build-challenge", "--in", data, "--templates", bad, "--seed", "1",
+                            "--out", tmp_path / "o"],
+    }[reader]
+    proc = subprocess.run(
+        [sys.executable, "-m", "slotqa", *map(str, argv)], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {bad}: line 2: invalid UTF-8 at byte {byte}: invalid continuation byte\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_predict_baseline_refuses_a_threshold_that_is_not_finite(tmp_path, capsys, value):
     data, preds = tmp_path / "d.jsonl", tmp_path / "p.jsonl"

@@ -20,15 +20,13 @@ from slotqa import (
     ParseError,
     insert_no_answer_token,
     load_dataset,
-    mix,
     mix_files,
-    sample_without_replacement,
     write_dataset,
 )
 from slotqa.mixer import DEFAULT_SIZES
 from slotqa.model import dumps_instance, sidecar_path
 
-from helpers import make_dataset, make_instance
+from helpers import make_dataset, make_instance, oracle_sample
 
 
 def numbered(n, prefix="x"):
@@ -45,20 +43,30 @@ def spec_for(sizes, seed):
     return MixSpec(base="b", augment="a", seed=seed, sizes=tuple(sizes))
 
 
-def test_sample_zero():
-    out = sample_without_replacement(numbered(4), 0, seed=7)
-    assert len(out) == 0
+def mixed(tmp_path, spec, base, augment):
+    """mix_files over the two datasets written as JSONL: each output loaded, with its report."""
+    base_path, augment_path = tmp_path / "base.jsonl", tmp_path / "augment.jsonl"
+    write_dataset(base, base_path)
+    write_dataset(augment, augment_path)
+    written = mix_files(spec, base_path, augment_path, tmp_path / "out")
+    return [(load_dataset(path), report) for _, path, report in written]
 
 
-def test_sample_whole_dataset_keeps_order():
+def sampled(tmp_path, augment, k, seed):
+    """The augment's sample of size k, as mix_files takes it after an empty base."""
+    ((out, _),) = mixed(tmp_path, spec_for((k,), seed), numbered(0, "b"), augment)
+    return out
+
+
+def test_sample_whole_dataset_keeps_order(tmp_path):
     ds = numbered(5)
-    out = sample_without_replacement(ds, 5, seed=7)
+    out = sampled(tmp_path, ds, 5, seed=7)
     assert out.instances == ds.instances
 
 
-def test_sample_oversized_request_truncates():
+def test_sample_oversized_request_truncates(tmp_path):
     ds = numbered(3)
-    out = sample_without_replacement(ds, 10, seed=7)
+    out = sampled(tmp_path, ds, 10, seed=7)
     assert out.instances == ds.instances
     entry = out.provenance_log[-1]
     assert entry["parameters"]["truncated_to_population"] is True
@@ -66,46 +74,43 @@ def test_sample_oversized_request_truncates():
     assert entry["seed"] == 7
 
 
-def test_sample_rejects_negative_size():
-    with pytest.raises(DataError):
-        sample_without_replacement(numbered(3), -1, seed=0)
-
-
-def test_sample_golden_selection_seed7():
+def test_sample_golden_selection_seed7(tmp_path):
     # pinned: random.Random(7).shuffle([0, 1, 2, 3]) -> [3, 1, 0, 2],
     # so the 2-prefix {3, 1} sorts to positions [1, 3]
     order = [0, 1, 2, 3]
     random.Random(7).shuffle(order)
     assert order == [3, 1, 0, 2]
-    out = sample_without_replacement(numbered(4), 2, seed=7)
+    assert oracle_sample(4, 2, 7) == [1, 3]
+    out = sampled(tmp_path, numbered(4), 2, seed=7)
     assert [i.id for i in out.instances] == ["x1", "x3"]
 
 
-def test_sample_selection_preserves_input_order():
-    ds = numbered(50)
-    out = sample_without_replacement(ds, 20, seed=11)
+def test_sample_selection_preserves_input_order(tmp_path):
+    out = sampled(tmp_path, numbered(50), 20, seed=11)
     ids = [int(i.id[1:]) for i in out.instances]
     assert ids == sorted(ids)
     assert len(set(ids)) == 20
 
 
-def test_samples_nest_across_sizes():
+def test_samples_nest_across_sizes(tmp_path):
+    # one run per size, so nesting cannot come from sharing one run's table
     ds = numbered(100)
     for seed in (0, 1, 2, 40):
         previous: set = set()
         for k in (5, 20, 60, 100):
-            chosen = {i.id for i in sample_without_replacement(ds, k, seed=seed)}
+            chosen = {i.id for i in sampled(tmp_path, ds, k, seed=seed)}
             assert previous <= chosen
             previous = chosen
 
 
-def test_mix_names_and_sizes():
+def test_mix_names_and_sizes(tmp_path):
     base = numbered(20, "b")
     augment = numbered(40, "a")
-    outputs = mix(spec_for((5, 10), seed=3), base, augment)
-    assert [d.name for d in outputs] == ["b+a@5", "b+a@10"]
-    assert [len(d) for d in outputs] == [25, 30]
-    for d in outputs:
+    outputs = mixed(tmp_path, spec_for((5, 10), seed=3), base, augment)
+    assert [d.name for d, _ in outputs] == ["b+a@5", "b+a@10"]
+    assert [len(d) for d, _ in outputs] == [25, 30]
+    assert [report.output_count for _, report in outputs] == [25, 30]
+    for d, _ in outputs:
         assert [i.id for i in d.instances[:20]] == [f"b{i}" for i in range(20)]
         assert d.provenance_log[-1]["operation"] == "mix"
         assert d.provenance_log[-1]["seed"] == 3
@@ -115,52 +120,57 @@ def test_mix_default_sizes():
     assert DEFAULT_SIZES == (10**3, 10**4, 10**5, 10**6)
 
 
-def test_mix_truncates_against_small_augment():
-    outputs = mix(spec_for((10,), seed=0), numbered(4, "b"), numbered(6, "a"))
-    assert len(outputs[0]) == 4 + 6
-    assert outputs[0].provenance_log[-1]["parameters"]["truncated_to_population"] is True
+def test_mix_truncates_against_small_augment(tmp_path):
+    ((out, report),) = mixed(tmp_path, spec_for((10,), seed=0), numbered(4, "b"), numbered(6, "a"))
+    assert len(out) == 4 + 6
+    assert out.provenance_log[-1]["parameters"]["truncated_to_population"] is True
+    assert report.parameters["taken"] == 6
 
 
-def test_mix_nesting_across_outputs():
+def test_mix_nesting_across_outputs(tmp_path):
     base = numbered(3, "b")
     augment = numbered(200, "a")
-    small, large = mix(spec_for((20, 100), seed=9), base, augment)
+    (small, _), (large, _) = mixed(tmp_path, spec_for((20, 100), seed=9), base, augment)
     assert {i.id for i in small} <= {i.id for i in large}
 
 
-def test_mix_agrees_with_sample():
+def test_mix_agrees_with_sample(tmp_path):
     base = numbered(3, "b")
     augment = numbered(30, "a")
-    (out,) = mix(spec_for((12,), seed=21), base, augment)
-    sampled = sample_without_replacement(augment, 12, seed=21)
-    assert out.instances[3:] == sampled.instances
+    ((out, _),) = mixed(tmp_path, spec_for((12,), seed=21), base, augment)
+    assert out.instances[3:] == tuple(augment.instances[i] for i in oracle_sample(30, 12, 21))
 
 
-def test_mix_id_collision_is_fatal():
+def test_mix_id_collision_is_fatal(tmp_path):
     base = numbered(5, "x")
     augment = numbered(5, "x")
     with pytest.raises(DataError) as exc:
-        mix(spec_for((2,), seed=0), base, augment)
+        mixed(tmp_path, spec_for((2,), seed=0), base, augment)
     assert "x0" in str(exc.value)
 
 
-def test_mix_rejects_adaptation_mismatch():
+def test_mix_rejects_adaptation_mismatch(tmp_path):
     base, _ = insert_no_answer_token(numbered(3, "b"))
     augment = numbered(5, "a")
-    with pytest.raises(DataError):
-        mix(spec_for((2,), seed=0), base, augment)
+    with pytest.raises(DataError, match="different no-answer adaptations"):
+        mixed(tmp_path, spec_for((2,), seed=0), base, augment)
+    assert not (tmp_path / "out").exists()
 
 
-def test_mix_same_token_propagates():
+def test_mix_same_token_propagates(tmp_path):
     base, _ = insert_no_answer_token(numbered(3, "b"))
     augment, _ = insert_no_answer_token(numbered(5, "a"))
-    outputs = mix(spec_for((2,), seed=0), base, augment)
-    assert outputs[0].no_answer_token == base.no_answer_token
+    outputs = mixed(tmp_path, spec_for((2, 4), seed=0), base, augment)
+    for out, _ in outputs:
+        assert out.no_answer_token == base.no_answer_token
+        assert out.provenance_log[:-1] == base.provenance_log
 
 
 def test_mixspec_validation():
     with pytest.raises(DataError):
         spec_for((0,), seed=1).validate()
+    with pytest.raises(DataError):
+        spec_for((-1,), seed=1).validate()
     with pytest.raises(DataError):
         spec_for((10, 10), seed=1).validate()
     with pytest.raises(DataError):
@@ -189,6 +199,8 @@ def test_mixspec_from_json_file(tmp_path):
         {"base": "b", "augment": "a", "sizes": [3]},
         {"base": "b", "augment": "a", "seed": True, "sizes": [3]},
         {"base": "b", "augment": "a", "seed": 4, "sizes": [3, "x"]},
+        {"base": None, "augment": ["x"], "seed": 1, "sizes": [2]},
+        {"base": "b", "augment": 5, "seed": 1, "sizes": [2]},
     ):
         path.write_text(json.dumps(bad), encoding="utf-8")
         with pytest.raises(ParseError):
@@ -199,7 +211,7 @@ def test_mixspec_from_json_file(tmp_path):
         MixSpec.from_json_file(path)
 
 
-def test_mix_files_matches_in_memory(tmp_path):
+def test_mix_files_matches_the_oracle(tmp_path):
     base = numbered(7, "b")
     augment = numbered(23, "a")
     base_path = tmp_path / "base.jsonl"
@@ -209,16 +221,15 @@ def test_mix_files_matches_in_memory(tmp_path):
 
     spec = spec_for((4, 11), seed=2)
     written = mix_files(spec, base_path, augment_path, tmp_path / "out")
-    expected = mix(spec, base, augment)
     assert [name for name, _, _ in written] == ["b+a@4", "b+a@11"]
-    for (name, path, report), ds in zip(written, expected):
-        want = "".join(dumps_instance(i) + "\n" for i in ds.instances)
+    for (name, path, report), k in zip(written, spec.sizes):
+        instances = base.instances + tuple(augment.instances[i] for i in oracle_sample(23, k, 2))
+        want = "".join(dumps_instance(i) + "\n" for i in instances)
         assert path.read_text(encoding="utf-8") == want
-        assert name == ds.name
-        assert report.output_count == len(ds)
+        assert report.output_count == len(instances)
         loaded = load_dataset(path)
-        assert loaded.name == ds.name
-        assert loaded.instances == ds.instances
+        assert loaded.name == name
+        assert loaded.instances == instances
 
 
 def test_mix_files_is_deterministic(tmp_path):
@@ -268,10 +279,8 @@ def text_mode_outputs(base_path, augment_path, sizes, seed):
             return [line if line.endswith("\n") else line + "\n" for line in f]
 
     base, augment = lines(base_path), lines(augment_path)
-    order = list(range(len(augment)))
-    random.Random(seed).shuffle(order)
     return [
-        "".join(base + [augment[i] for i in sorted(order[:k])]).encode("utf-8")
+        "".join(base + [augment[i] for i in oracle_sample(len(augment), k, seed)]).encode("utf-8")
         for k in sizes
     ]
 
@@ -502,7 +511,7 @@ def test_parallel_scan_finds_collisions_in_every_range(tmp_path, parallel):
     sizes=st.sets(st.integers(1, 60), min_size=1, max_size=5),
     parts=st.integers(1, 6),
 )
-def test_mix_files_equals_mix_for_any_range_count(base_size, population, seed, sizes, parts):
+def test_mix_files_equals_the_oracle_for_any_range_count(base_size, population, seed, sizes, parts):
     base, augment = numbered(base_size, "b"), numbered(population, "a")
     spec = spec_for(sorted(sizes), seed)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as m:
@@ -513,7 +522,13 @@ def test_mix_files_equals_mix_for_any_range_count(base_size, population, seed, s
         write_dataset(augment, Path(tmp) / "augment.jsonl")
         written = mix_files(spec, Path(tmp) / "base.jsonl", Path(tmp) / "augment.jsonl", Path(tmp) / "out")
         got = [path.read_text(encoding="utf-8") for _, path, _ in written]
-    want = ["".join(dumps_instance(i) + "\n" for i in ds.instances) for ds in mix(spec, base, augment)]
+    want = [
+        "".join(
+            dumps_instance(i) + "\n"
+            for i in base.instances + tuple(augment.instances[j] for j in oracle_sample(population, k, seed))
+        )
+        for k in spec.sizes
+    ]
     assert got == want
 
 
