@@ -22,11 +22,13 @@ checked by exhaustive enumeration:
 
 idf(w) = ln((1 + N) / (1 + df(w))) + 1 over the instance contexts of a
 dataset, so unseen words get the maximum rarity value and an empty corpus
-scores every word 1.0. ``build_idf`` reads only each context's set of
-token strings, never their offsets.
+scores every word 1.0. An ``IdfTable`` computes each word's weight once.
 
-``predict_dataset`` streams: ``predict`` tokenizes each context right
-before scoring it, so only one context's tokens are alive at a time.
+``predict_dataset`` makes one pass over each context's set of token strings:
+it counts document frequencies and flags the instances whose context shares
+a Q_content token. A sentence's tokens are a subset of its context's, so an
+unflagged instance is no-answer without being tokenized or segmented. Only
+flagged instances go to ``predict``, one context's tokens alive at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Mapping
 
@@ -65,14 +67,27 @@ def tokenize(text: str) -> list[tuple[str, int, int]]:
     Tokens are matched on the original text and lowered one by one:
     lowering first would move boundaries ('İ' lowers to 'i' + U+0307).
     """
-    parts = _SPLIT_RE.split(text)
-    ends = list(accumulate(map(len, parts)))
-    return list(zip(map(str.lower, parts[1::2]), ends[0::2], ends[1::2]))
+    return list(zip(*_token_columns(text)))
+
+
+def _token_columns(text: str) -> tuple[list[str], list[int], list[int]]:
+    """``tokenize(text)`` as three lists: words, starts and ends."""
+    parts = _SPLIT_RE.split(text)  # separators and tokens alternate
+    bounds = list(accumulate(map(len, parts)))
+    return list(map(str.lower, parts[1::2])), bounds[0:-1:2], bounds[1::2]
 
 
 def _token_set(text: str) -> set[str]:
     """The distinct lowercased tokens of ``text``, without offsets."""
     return set(map(str.lower, _TOKEN_RE.findall(text)))
+
+
+def _question_terms(instance: Instance) -> tuple[set[str], set[str]]:
+    """Q_all (question plus subject entity tokens) and Q_content."""
+    q_all = _token_set(instance.question)
+    if instance.subject_entity:
+        q_all |= _token_set(instance.subject_entity)
+    return q_all, q_all - STOP_WORDS
 
 
 @dataclass(frozen=True)
@@ -106,12 +121,15 @@ class IdfTable:
     n_docs: int = 0
     doc_freq: Mapping[str, int] = None  # type: ignore[assignment]
     uniform: bool = False
+    _weights: dict[str, float] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def idf(self, token: str) -> float:
-        if self.uniform:
-            return 1.0
-        df = self.doc_freq.get(token, 0) if self.doc_freq else 0
-        return math.log((1 + self.n_docs) / (1 + df)) + 1.0
+        weight = self._weights.get(token)
+        if weight is None:
+            df = self.doc_freq.get(token, 0) if self.doc_freq else 0
+            weight = 1.0 if self.uniform else math.log((1 + self.n_docs) / (1 + df)) + 1.0
+            self._weights[token] = weight
+        return weight
 
 
 def uniform_idf() -> IdfTable:
@@ -129,17 +147,13 @@ def build_idf(dataset: Dataset) -> IdfTable:
 def predict(instance: Instance, config: BaselineConfig, idf_table: IdfTable) -> Prediction:
     """Apply the frozen scoring rule to one instance."""
     config.validate()
-    q_all = _token_set(instance.question)
-    if instance.subject_entity:
-        q_all |= _token_set(instance.subject_entity)
-    q_content = q_all - STOP_WORDS
-    context_tokens = tokenize(instance.context) if q_content else []
-    if not context_tokens:
+    q_all, q_content = _question_terms(instance)
+    if not q_content:
         return Prediction(instance.id, None)
 
     # Lists, not tuples: slices of every length would otherwise fill the
     # interpreter's per-length tuple free lists and raise peak RSS.
-    words, starts, ends = map(list, zip(*context_tokens))
+    words, starts, ends = _token_columns(instance.context)
     max_span = config.max_span_tokens
     best: tuple[float, int, int] | None = None  # (score, char_start, char_end)
     for boundary in segment_sentences(instance.context):
@@ -202,8 +216,22 @@ def predict(instance: Instance, config: BaselineConfig, idf_table: IdfTable) -> 
 def predict_dataset(
     dataset: Dataset, config: BaselineConfig, idf_table: IdfTable | None = None
 ) -> list[Prediction]:
-    """Predict every instance; the idf table is shared and read-only."""
+    """``[predict(i, config, table) for i in dataset]``, where ``table`` is
+    ``idf_table`` or else the one ``config.idf_source`` names."""
     config.validate()
+    instances = dataset.instances
+    count_df = idf_table is None and config.idf_source == "self_corpus"
+    doc_freq: Counter[str] = Counter()
+    answerable = bytearray(len(instances))
+    for i, inst in enumerate(instances):
+        context_words = _token_set(inst.context)
+        if count_df:
+            doc_freq.update(context_words)
+        if not context_words.isdisjoint(_question_terms(inst)[1]):
+            answerable[i] = 1
     if idf_table is None:
-        idf_table = uniform_idf() if config.idf_source == "uniform" else build_idf(dataset)
-    return [predict(inst, config, idf_table) for inst in dataset]
+        idf_table = IdfTable(n_docs=len(instances), doc_freq=doc_freq) if count_df else uniform_idf()
+    return [
+        predict(inst, config, idf_table) if flag else Prediction(inst.id, None)
+        for inst, flag in zip(instances, answerable)
+    ]

@@ -148,7 +148,14 @@ def _ingest_uwre(args) -> str:
     from .ingest import ingest_uwre
     from .templates import save_templates
 
-    dataset, inventory, report = ingest_uwre(read_lines(args.in_path), args.split)
+    try:
+        dataset, inventory, report = ingest_uwre(read_lines(args.in_path), args.split)
+    except ParseError as e:
+        # ingest_uwre numbers a bad line but never sees the file's name; read_lines'
+        # errors already name it, and an unknown split is not about the file
+        if not str(e).startswith("line "):
+            raise
+        raise ParseError(f"{args.in_path}: {e}") from e.__cause__
     wrote = _save(args, dataset, report)
     message = f"{wrote} ({report.skipped} dropped of {report.input_count} records)"
     if args.templates_out:

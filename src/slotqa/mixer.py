@@ -45,6 +45,10 @@ class MixSpec:
     def validate(self) -> None:
         if not self.base or not self.augment:
             raise DataError("mix spec needs non-empty base and augment names")
+        # the names become an output file name under the output directory
+        for name in (self.base, self.augment):
+            if name in (".", "..") or any(c and c in name for c in ("/", os.sep, os.altsep, "\0")):
+                raise DataError(f"mix spec names must be single path components, got {name!r}")
         if not self.sizes:
             raise DataError("mix spec needs at least one size")
         if any(s <= 0 for s in self.sizes):

@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from slotqa import (
     BaselineConfig,
     DataError,
+    IdfTable,
     build_idf,
     predict,
     predict_dataset,
     uniform_idf,
 )
+from slotqa import baseline
 from slotqa.baseline import STOP_WORDS, tokenize
 
 from helpers import make_dataset, make_instance, oracle_best_span, oracle_tokenize
@@ -77,6 +79,24 @@ def test_idf_formula():
     assert table.idf("b") == math.log(2 / 2) + 1 == 1.0
     assert table.idf("a") == 1.0
     assert table.idf("unseen") == math.log(2 / 1) + 1
+
+
+def test_idf_weights_are_cached_without_changing_the_table():
+    corpus = make_dataset(
+        make_instance(id="d0", context="apple banana"),
+        make_instance(id="d1", context="apple cherry"),
+    )
+    table = build_idf(corpus)
+    fresh = build_idf(corpus)
+    # df 2, df 1 and unseen, each asked twice: the cached float is the formula's
+    for word, df in [("apple", 2), ("banana", 1), ("unseen", 0)] * 2:
+        assert table.idf(word) == math.log((1 + 2) / (1 + df)) + 1.0
+    assert table == fresh
+    assert repr(table) == repr(fresh)
+    assert repr(table) == f"IdfTable(n_docs=2, doc_freq={table.doc_freq!r}, uniform=False)"
+    assert table != IdfTable(n_docs=3, doc_freq=table.doc_freq)
+    assert uniform_idf().idf("x") == uniform_idf().idf("x") == 1.0
+    assert uniform_idf() == IdfTable(n_docs=0, doc_freq={}, uniform=True)
 
 
 def test_idf_empty_corpus_and_uniform():
@@ -303,3 +323,87 @@ def test_predict_dataset_is_deterministic():
 def test_stop_word_list_is_lowercase_and_nonempty():
     assert STOP_WORDS
     assert all(w == w.lower() for w in STOP_WORDS)
+
+
+# Pieces that tokenize specially ('İ' lowers to two code points, 'ΑΣ'Β' to
+# "ας" and "β"), stop words, and words no question uses ("quartz").
+DATASET_CONTEXT_PIECES = [
+    "Obama", "born", "Hawaii", "the", "in", "was", "İ", "ΑΣ'Β", "Dr.", "U.S.",
+    "quartz", "Acme", ".", "?", ",", " ", "\n",
+]
+DATASET_QUESTION_PIECES = ["who", "was", "is", "the", "Obama", "born", "İ", "ας", "zebra"]
+
+
+def _datasets():
+    fields = st.tuples(
+        st.lists(st.sampled_from(DATASET_CONTEXT_PIECES), max_size=20).map(" ".join),
+        st.lists(st.sampled_from(DATASET_QUESTION_PIECES), max_size=3).map(" ".join),
+        st.sampled_from([None, "", "Acme", "İ", "zebra", "the", "ΑΣ'Β"]),
+    )
+    return st.lists(fields, max_size=6).map(
+        lambda rows: make_dataset(
+            *(
+                make_instance(id=f"i{n}", context=c, question=q, answers=(), subject_entity=e)
+                for n, (c, q, e) in enumerate(rows)
+            )
+        )
+    )
+
+
+@settings(max_examples=300)
+@given(
+    ds=_datasets(),
+    idf_source=st.sampled_from(["self_corpus", "uniform"]),
+    supplied=st.sampled_from([None, "uniform", "own", "other"]),
+    threshold=st.sampled_from([0.0, 1.0, 3.0]),
+    max_span=st.integers(min_value=1, max_value=4),
+)
+def test_predict_dataset_equals_predict_per_instance(ds, idf_source, supplied, threshold, max_span):
+    config = BaselineConfig(max_span_tokens=max_span, no_answer_threshold=threshold, idf_source=idf_source)
+    other = make_dataset(make_instance(context="Obama quartz quartz. Acme born."))
+    table = {None: None, "uniform": uniform_idf(), "own": build_idf(ds), "other": build_idf(other)}[supplied]
+    if table is None:
+        expected_table = uniform_idf() if idf_source == "uniform" else build_idf(ds)
+    else:
+        expected_table = table
+    expected = [predict(inst, config, expected_table) for inst in ds]
+    assert predict_dataset(ds, config, table) == expected
+
+
+def test_predict_dataset_predicts_only_instances_that_share_a_content_term(monkeypatch):
+    instances = [
+        fig_instance(id="shares"),
+        make_instance(id="disjoint", question="Where was Obama born?", context="The weather is nice."),
+        make_instance(id="stop-words", question="Who is he?", context="Who is he? He is here."),
+        make_instance(id="empty-context", question="Where was Obama born?", context=""),
+        make_instance(id="entity", question="Where was XXX born?", context="Obama lived in Hawaii.",
+                      subject_entity="Hawaii"),
+        make_instance(id="dotted-i", question="Is İ here?", context="Yes, İ is here."),
+        make_instance(id="sigma", question="What is ας?", context="ΑΣ'Β is a word."),
+    ]
+    ds = make_dataset(*instances)
+
+    def words(text):
+        return {w for w, _, _ in oracle_tokenize(text or "")}
+
+    shares = {
+        inst.id
+        for inst in ds
+        if ((words(inst.question) | words(inst.subject_entity)) - STOP_WORDS) & words(inst.context)
+    }
+    assert shares == {"shares", "entity", "dotted-i", "sigma"}
+
+    called = []
+    real_predict = baseline.predict
+
+    def spy(inst, config, table):
+        called.append(inst.id)
+        return real_predict(inst, config, table)
+
+    monkeypatch.setattr(baseline, "predict", spy)
+    for config in (BaselineConfig(no_answer_threshold=0.0), BaselineConfig(idf_source="uniform")):
+        called.clear()
+        predictions = predict_dataset(ds, config)
+        assert called == [inst.id for inst in ds if inst.id in shares]
+        assert [p.instance_id for p in predictions] == [inst.id for inst in ds]
+        assert all(p.answer is None for p in predictions if p.instance_id not in shares)

@@ -270,6 +270,40 @@ def test_mix_usage_errors_exit_2(tmp_path, capsys):
     assert augment.read_bytes() == kept
 
 
+@pytest.mark.parametrize("name", ["../../escaped", "..", "sub/dir"])
+def test_mix_refuses_a_name_that_is_a_path(tmp_path, capsys, name):
+    work = tmp_path / "work"
+    work.mkdir()
+    base, augment = work / "base.jsonl", work / "augment.jsonl"
+    _jsonl(base, ["b0"])
+    _jsonl(augment, ["a0", "a1"])
+    config = work / "mix.json"
+    config.write_text(json.dumps({"base": name, "augment": "a", "seed": 1, "sizes": [1]}), encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    out_dir = work / "deep" / "out"
+    argv = ["mix", "--config", config, "--base", base, "--augment", augment, "--out-dir", out_dir]
+    assert main([str(arg) for arg in argv]) == 1
+    assert capsys.readouterr().err == (
+        f"error: mix spec names must be single path components, got {name!r}\n"
+    )
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_ingest_uwre_parse_error_names_the_file(tmp_path):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(UWRE_TSV + "place_of_birth\tWhere was XXX born?\tAda\n", encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "slotqa", "ingest-uwre", "--in", str(bad), "--split", "train", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {bad}: line 6: expected 5 tab-separated fields, got 3\n"
+    assert not out.exists()
+
+
 _NOT_UTF8 = b'{"id": "caf\xe9"}'
 _TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
 

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import os
 import json
 import random
 import subprocess
@@ -179,6 +180,14 @@ def test_mixspec_validation():
         spec_for((), seed=1).validate()
     with pytest.raises(DataError):
         MixSpec(base="", augment="a", seed=1).validate()
+    # each name becomes part of one file name under the output directory
+    for name in (".", "..", "../../escaped", "a/b", "/abs", "a\0b", os.sep + "x", f"x{os.altsep or '/'}y"):
+        with pytest.raises(DataError, match="single path components"):
+            MixSpec(base=name, augment="a", seed=1).validate()
+        with pytest.raises(DataError, match="single path components"):
+            MixSpec(base="b", augment=name, seed=1).validate()
+    for name in ("...", ".hidden", "a..b", "dev-v1.1", "x+y"):
+        MixSpec(base=name, augment=name, seed=1).validate()
     spec_for((5, 10), seed=1).validate()
 
 
