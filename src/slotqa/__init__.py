@@ -40,7 +40,6 @@ _HOMES = {
     "ParseError": "model",
     "Prediction": "model",
     "QuestionTemplate": "model",
-    "RelationQuery": "model",
     "Span": "model",
     "TransformReport": "model",
     "Violation": "model",

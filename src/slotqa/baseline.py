@@ -37,7 +37,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 from typing import Mapping
 
@@ -107,33 +107,28 @@ class BaselineConfig:
             raise DataError(f"unknown idf_source {self.idf_source!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "max_span_tokens": self.max_span_tokens,
-            "no_answer_threshold": self.no_answer_threshold,
-            "idf_source": self.idf_source,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class IdfTable:
-    """Document frequencies over a corpus; uniform tables score every word 1.0."""
+    """Document frequencies over a corpus; a table of no documents scores every word 1.0."""
 
     n_docs: int = 0
     doc_freq: Mapping[str, int] = None  # type: ignore[assignment]
-    uniform: bool = False
     _weights: dict[str, float] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def idf(self, token: str) -> float:
         weight = self._weights.get(token)
         if weight is None:
             df = self.doc_freq.get(token, 0) if self.doc_freq else 0
-            weight = 1.0 if self.uniform else math.log((1 + self.n_docs) / (1 + df)) + 1.0
+            weight = math.log((1 + self.n_docs) / (1 + df)) + 1.0
             self._weights[token] = weight
         return weight
 
 
 def uniform_idf() -> IdfTable:
-    return IdfTable(n_docs=0, doc_freq={}, uniform=True)
+    return IdfTable(n_docs=0, doc_freq={})
 
 
 def build_idf(dataset: Dataset) -> IdfTable:

@@ -13,7 +13,7 @@ import hashlib
 import random
 from typing import Sequence
 
-from .model import Dataset, DataError, Instance, RelationQuery, QuestionTemplate, TransformReport
+from .model import Dataset, DataError, Instance, QuestionTemplate, TransformReport
 from .templates import by_relation, instantiate
 
 
@@ -75,9 +75,7 @@ def build_challenge_set(
         donor = rng.choice(eligible)
         if inst.relation not in grouped:
             raise DataError(f"no question template for relation {inst.relation!r}")
-        question = instantiate(
-            grouped[inst.relation][0], RelationQuery(inst.relation, donor)
-        )
+        question = instantiate(grouped[inst.relation][0], donor)
         out.append(
             Instance(
                 id=inst.id + "-chal",

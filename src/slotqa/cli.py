@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -40,6 +39,7 @@ from .model import (
     read_json,
     read_lines,
     read_predictions,
+    refuse_overwrite,
     validate_dataset,
     write_dataset,
     write_json,
@@ -370,7 +370,7 @@ def _replay(args) -> int:
     if not isinstance(meta, dict) or "provenance_log" not in meta:
         raise ParseError(f"{args.log}: expected a sidecar object with a provenance_log")
     mismatches = 0
-    with tempfile.TemporaryDirectory(dir=os.environ.get("SLOTQA_WORKDIR")) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         for i, entry in enumerate(provenance_entries(meta, args.log)):
             name = entry.get("operation")
             op = OPERATIONS.get(name) if isinstance(name, str) else None
@@ -434,6 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        named = [flag for flag in args.op.flags if flag.name]
+        # a report is an output that provenance does not record
+        outputs = [getattr(args, f.dest) for f in named if f.role == "out" or f.dest == "report"]
+        refuse_overwrite(outputs, [getattr(args, f.dest) for f in named if f.role == "in"])
         result = args.op.run(args)
         if isinstance(result, int):
             return result

@@ -23,7 +23,6 @@ from .model import (
     Instance,
     ParseError,
     QuestionTemplate,
-    RelationQuery,
     Span,
     SPLITS,
     TransformReport,
@@ -120,13 +119,7 @@ def ingest_squad(document: Any, split: str) -> tuple[Dataset, TransformReport]:
                     )
                 )
     report.output_count = len(instances)
-    dataset = Dataset(
-        instances=tuple(instances),
-        name=f"squad-{split}",
-        provenance_log=(
-            {"operation": "ingest-squad", "parameters": {"split": split}, "seed": None},
-        ),
-    )
+    dataset = Dataset(name=f"squad-{split}").derive(instances, "ingest-squad", {"split": split})
     return dataset, report
 
 
@@ -170,7 +163,7 @@ def ingest_uwre(
         if key not in seen_templates:
             seen_templates.add(key)
             inventory.append(QuestionTemplate(relation, template))
-        question = instantiate(QuestionTemplate(relation, template), RelationQuery(relation, entity))
+        question = instantiate(QuestionTemplate(relation, template), entity)
         answers = answer_field.split("|") if answer_field else []
         spans: list[Span] = []
         seen_spans: set[tuple[int, str]] = set()
@@ -203,11 +196,5 @@ def ingest_uwre(
             )
         )
     report.output_count = len(instances)
-    dataset = Dataset(
-        instances=tuple(instances),
-        name=f"uwre-{split}",
-        provenance_log=(
-            {"operation": "ingest-uwre", "parameters": {"split": split}, "seed": None},
-        ),
-    )
+    dataset = Dataset(name=f"uwre-{split}").derive(instances, "ingest-uwre", {"split": split})
     return dataset, inventory, report

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 import string
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -110,14 +111,7 @@ def _token_overlap_credit(prediction: str, golds: Sequence[str]) -> float:
             if pred_tokens == gold_tokens:
                 best = max(best, 1.0)
             continue
-        common: dict[str, int] = {}
-        for t in pred_tokens:
-            common[t] = common.get(t, 0) + 1
-        overlap = 0
-        for t in gold_tokens:
-            if common.get(t, 0) > 0:
-                common[t] -= 1
-                overlap += 1
+        overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
         if overlap == 0:
             continue
         p = overlap / len(pred_tokens)
@@ -158,9 +152,9 @@ class _Tally:
             "missing": self.missing,
         }
 
-    def report(self, match: str, zero_division: float) -> EvalReport:
-        precision = self.correct / self.answered if self.answered else zero_division
-        recall = self.correct / self.positives if self.positives else zero_division
+    def report(self, match: str) -> EvalReport:
+        precision = self.correct / self.answered if self.answered else 0.0
+        recall = self.correct / self.positives if self.positives else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
         return EvalReport(precision=precision, recall=recall, f1=f1, counts=self.counts(match))
 
@@ -209,26 +203,22 @@ def score_slot_filling(
     dataset: Dataset,
     predictions: Iterable[Prediction],
     match: str = "exact",
-    zero_division: float = 0.0,
 ) -> EvalReport:
     """Score predictions against a dataset under slot-filling conventions.
 
     precision = correct / answered, recall = correct / positives, and
-    f1 = 2PR / (P + R); an empty denominator yields ``zero_division`` for
-    precision and recall and 0.0 for f1. A missing prediction counts as a
-    no-answer (tallied under ``missing``). ``match`` is ``"exact"`` for
-    normalized exact match (canonical) or ``"overlap"`` for token-overlap
-    partial credit. When any instance carries a relation, the report also
-    breaks the same scores down per relation.
+    f1 = 2PR / (P + R); an empty denominator yields 0.0. A missing
+    prediction counts as a no-answer (tallied under ``missing``). ``match``
+    is ``"exact"`` for normalized exact match (canonical) or ``"overlap"``
+    for token-overlap partial credit. When any instance carries a relation,
+    the report also breaks the same scores down per relation.
     """
     if match not in ("exact", "overlap"):
         raise DataError(f"unknown match mode {match!r}, expected 'exact' or 'overlap'")
     overall, per_relation = _tally(dataset, _prediction_map(dataset, predictions), match)
-    report = overall.report(match, zero_division)
+    report = overall.report(match)
     if per_relation:
-        report.per_relation = {
-            rel: tally.report(match, zero_division) for rel, tally in per_relation.items()
-        }
+        report.per_relation = {rel: tally.report(match) for rel, tally in per_relation.items()}
     return report
 
 

@@ -26,7 +26,7 @@ from .model import (
     decode_line,
     read_json,
     read_sidecar,
-    sidecar_path,
+    refuse_overwrite,
     write_sidecar,
 )
 
@@ -286,11 +286,7 @@ def mix_files(
     names = [f"{spec.base}+{spec.augment}@{k}" for k in spec.sizes]
     out_paths = [out_dir / f"{name}.jsonl" for name in names]
     # every output is truncated before the inputs are read
-    for out_path in out_paths:
-        for written in (out_path, sidecar_path(out_path)):
-            for source in (base_path, augment_path):
-                if written.exists() and source.exists() and written.samefile(source):
-                    raise ParseError(f"output {written} would overwrite input {source}")
+    refuse_overwrite(out_paths, (base_path, augment_path))
 
     base_meta = read_sidecar(base_path)
     base_token = base_meta.no_answer_token

@@ -90,14 +90,6 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class RelationQuery:
-    """A KB query: which object fills ``relation`` for ``subject_entity``."""
-
-    relation: str
-    subject_entity: str
-
-
-@dataclass(frozen=True)
 class QuestionTemplate:
     """A parametric question for a relation; the placeholder marks the entity slot."""
 
@@ -399,8 +391,17 @@ def read_instances(path: str | Path) -> tuple[Instance, ...]:
 
 
 def sidecar_path(path: str | Path) -> Path:
-    path = Path(path)
-    return path.with_name(path.name + ".prov.json")
+    return Path(f"{Path(path)}.prov.json")  # also for a path without a name, such as "."
+
+
+def refuse_overwrite(outputs: Iterable, inputs: Iterable) -> None:
+    """A ParseError if writing an output or its sidecar would overwrite an input or its sidecar."""
+    sources = [side for p in inputs if p for side in (Path(p), sidecar_path(p)) if side.exists()]
+    for out in filter(None, outputs):
+        for written in (Path(out), sidecar_path(out)):
+            for source in sources:
+                if written.exists() and written.samefile(source):
+                    raise ParseError(f"output {written} would overwrite input {source}")
 
 
 def read_json(path: str | Path) -> Any:

@@ -10,28 +10,23 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .model import DataError, ParseError, QuestionTemplate, RelationQuery, read_lines
+from .model import DataError, ParseError, QuestionTemplate, read_lines
 
 PLACEHOLDER = "XXX"
 
 
-def instantiate(template: QuestionTemplate, query: RelationQuery) -> str:
-    """Substitute the query's entity into the template's placeholder.
+def instantiate(template: QuestionTemplate, entity: str) -> str:
+    """Substitute ``entity`` into the template's placeholder.
 
     The substitution is purely positional; the entity string is inserted
     verbatim, even when it contains the placeholder text itself.
     """
-    if template.relation != query.relation:
-        raise DataError(
-            f"template is for relation {template.relation!r}, "
-            f"query is for relation {query.relation!r}"
-        )
     if template.pattern.count(PLACEHOLDER) != 1:
         raise DataError(
             f"template pattern must contain {PLACEHOLDER!r} exactly once: "
             f"{template.pattern!r}"
         )
-    return template.pattern.replace(PLACEHOLDER, query.subject_entity)
+    return template.pattern.replace(PLACEHOLDER, entity)
 
 
 def load_templates(path: str | Path) -> tuple[list[QuestionTemplate], list[str]]:

@@ -106,6 +106,33 @@ def tally_score(dataset, predictions):
     return precision, recall, f1
 
 
+def oracle_overlap_f1(prediction, golds):
+    """Best token F1 of ``prediction`` against any gold, after normalization.
+
+    The overlap is counted by striking each matched token from a list of the
+    gold tokens, so a token counts as often as both sides hold it.
+    """
+    pred_tokens = oracle_normalize_answer(prediction).split()
+    best = 0.0
+    for gold in golds:
+        gold_tokens = oracle_normalize_answer(gold).split()
+        if not pred_tokens or not gold_tokens:
+            if pred_tokens == gold_tokens:
+                best = max(best, 1.0)
+            continue
+        unmatched = list(gold_tokens)
+        overlap = 0
+        for token in pred_tokens:
+            if token in unmatched:
+                unmatched.remove(token)
+                overlap += 1
+        if overlap:
+            precision = overlap / len(pred_tokens)
+            recall = overlap / len(gold_tokens)
+            best = max(best, 2 * precision * recall / (precision + recall))
+    return best
+
+
 _WORD = re.compile(r"[^\W_]+", re.UNICODE)
 
 

@@ -24,7 +24,6 @@ from slotqa import (
     Instance,
     MixSpec,
     Prediction,
-    RelationQuery,
     Span,
     build_challenge_set,
     build_idf,
@@ -325,9 +324,7 @@ def test_criterion_06_challenge_invariants_and_determinism(tmp_path):
         donor = chal.subject_entity
         assert donor.lower() != src.subject_entity.lower()
         assert donor.lower() not in src.context.lower()
-        assert chal.question == instantiate(
-            by_relation(inventory)[src.relation][0], RelationQuery(src.relation, donor)
-        )
+        assert chal.question == instantiate(by_relation(inventory)[src.relation][0], donor)
 
     # fresh interpreters with different hash seeds must agree byte for byte
     outputs = []
@@ -592,6 +589,6 @@ def test_criterion_10_template_instantiation():
     templates, rejections = load_templates(FIXTURES / "templates.tsv")
     assert rejections == []
     template = by_relation(templates)["place_of_birth"][0]
-    question = instantiate(template, RelationQuery("place_of_birth", "Obama"))
+    question = instantiate(template, "Obama")
     assert question == "Where was Obama born?"
     ok(10, "inventory template yields 'Where was Obama born?'")

@@ -93,10 +93,15 @@ def test_idf_weights_are_cached_without_changing_the_table():
         assert table.idf(word) == math.log((1 + 2) / (1 + df)) + 1.0
     assert table == fresh
     assert repr(table) == repr(fresh)
-    assert repr(table) == f"IdfTable(n_docs=2, doc_freq={table.doc_freq!r}, uniform=False)"
+    assert repr(table) == f"IdfTable(n_docs=2, doc_freq={table.doc_freq!r})"
     assert table != IdfTable(n_docs=3, doc_freq=table.doc_freq)
     assert uniform_idf().idf("x") == uniform_idf().idf("x") == 1.0
-    assert uniform_idf() == IdfTable(n_docs=0, doc_freq={}, uniform=True)
+    assert uniform_idf() == IdfTable(n_docs=0, doc_freq={})
+
+
+@given(st.text())
+def test_uniform_idf_is_a_table_of_no_documents(word):
+    assert uniform_idf().idf(word) == IdfTable(n_docs=0, doc_freq={}).idf(word) == 1.0
 
 
 def test_idf_empty_corpus_and_uniform():

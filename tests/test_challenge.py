@@ -3,7 +3,6 @@ import pytest
 from slotqa import (
     DataError,
     QuestionTemplate,
-    RelationQuery,
     build_challenge_set,
     build_uwre_plus,
     derive_seed,
@@ -76,9 +75,7 @@ def test_challenge_donor_comes_from_eligible_set():
                 and other.subject_entity.lower() not in source.context.lower()
             }
             assert challenge.subject_entity in eligible
-            assert challenge.question == instantiate(
-                BIRTH, RelationQuery("place_of_birth", challenge.subject_entity)
-            )
+            assert challenge.question == instantiate(BIRTH, challenge.subject_entity)
 
 
 def test_challenge_same_seed_is_byte_identical():

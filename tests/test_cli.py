@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -270,6 +271,15 @@ def test_mix_usage_errors_exit_2(tmp_path, capsys):
     assert augment.read_bytes() == kept
 
 
+@pytest.mark.parametrize("path", [".", "/"])
+def test_mix_base_that_is_a_path_without_a_name_is_a_usage_error(tmp_path, capsys, path):
+    augment = tmp_path / "augment.jsonl"
+    _jsonl(augment, ["a0"])
+    assert main(_mix_args(tmp_path, path, augment, [1])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{path!r}\n")
+
+
 @pytest.mark.parametrize("name", ["../../escaped", "..", "sub/dir"])
 def test_mix_refuses_a_name_that_is_a_path(tmp_path, capsys, name):
     work = tmp_path / "work"
@@ -420,6 +430,26 @@ def test_replay_catches_a_late_one_byte_difference(tmp_path, capsys):
     assert f"MISMATCH: step 0 (mix) does not reproduce {out}" in capsys.readouterr().out
 
 
+def test_replay_works_under_tmpdir_and_removes_what_it_made(tmp_path, squad_file, monkeypatch):
+    pos = tmp_path / "pos.jsonl"
+    main(["ingest-squad", "--in", str(squad_file), "--split", "train", "--out", str(pos)])
+    root = tmp_path / "tmp"
+    root.mkdir()
+    monkeypatch.setenv("TMPDIR", str(root))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # gettempdir reads TMPDIR again
+    compared = []
+
+    def same_bytes(recorded, candidate):
+        compared.append(candidate)
+        return _same_bytes(recorded, candidate)
+
+    monkeypatch.setattr(cli, "_same_bytes", same_bytes)
+    assert main(["replay", "--log", str(sidecar_path(pos))]) == 0
+    assert tempfile.gettempdir() == str(root)
+    assert [c.relative_to(root).parts[1:] for c in compared] == [("step000", "pos.jsonl")]
+    assert list(root.iterdir()) == []
+
+
 def test_replay_confirms_then_catches_tampering(tmp_path, squad_file, capsys):
     pos = tmp_path / "pos.jsonl"
     neg = tmp_path / "neg.jsonl"
@@ -534,6 +564,44 @@ def test_input_that_is_a_directory_is_a_usage_error(tmp_path):
     proc = _slotqa("predict-baseline", "--in", tmp_path, "--out", tmp_path / "p.jsonl")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, victim",
+    [
+        (["predict-baseline", "--in", "{pos}", "--out", "{pos}"], "{pos}"),
+        (["adapt-noanswer", "--in", "{pos}", "--out", "{pos}"], "{pos}"),
+        (["adapt-noanswer", "--in", "{pos}", "--out", "{link}"], "{pos}"),
+        (["predict-baseline", "--in", "{pos}", "--out", "{pos}.prov.json"], "{pos}.prov.json"),
+        (["negativize", "--in", "{pos}", "--out", "{tmp}/neg.jsonl", "--report", "{pos}"], "{pos}"),
+        (
+            ["ingest-uwre", "--in", "{uwre}", "--split", "test", "--out", "{tmp}/u.jsonl",
+             "--templates-out", "{uwre}"],
+            "{uwre}",
+        ),
+        (["score", "--dataset", "{pos}", "--preds", "{preds}", "--out", "{preds}"], "{preds}"),
+    ],
+    ids=["in-out", "adapt-in-out", "symlink", "sidecar", "report", "templates-out", "score-out"],
+)
+def test_an_output_that_would_overwrite_an_input_is_refused(
+    tmp_path, squad_file, uwre_file, capsys, argv, victim
+):
+    pos, preds = tmp_path / "pos.jsonl", tmp_path / "preds.jsonl"
+    main(["ingest-squad", "--in", str(squad_file), "--split", "train", "--out", str(pos)])
+    main(["predict-baseline", "--in", str(pos), "--out", str(preds)])
+    (tmp_path / "link.jsonl").symlink_to(pos)
+    capsys.readouterr()
+    names = dict(pos=pos, preds=preds, uwre=uwre_file, link=tmp_path / "link.jsonl", tmp=tmp_path)
+    argv = [arg.format(**names) for arg in argv]
+    before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output ")
+    assert f"would overwrite input {victim.format(**names)}" in err
+    assert "Traceback" not in err
+    # nothing is written, not even the outputs that alias no input
+    assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
 
 
 def test_replay_entry_missing_a_parameter_is_a_parse_error(tmp_path, squad_file):

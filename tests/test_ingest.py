@@ -212,3 +212,16 @@ def test_ingest_outputs_are_write_stable(tmp_path):
     again = tmp_path / "b.jsonl"
     write_instances(read_instances(p), again)
     assert p.read_bytes() == again.read_bytes() == first.encode("utf-8")
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_each_ingest_starts_the_log_with_one_entry(split):
+    squad, _ = ingest_squad(squad_doc(), split)
+    uwre, _, _ = ingest_uwre([UWRE_LINE], split)
+    for ds, operation in ((squad, "ingest-squad"), (uwre, "ingest-uwre")):
+        assert ds.provenance_log == (
+            {"operation": operation, "parameters": {"split": split}, "seed": None},
+        )
+        # the sidecar writes the keys in this order
+        assert list(ds.provenance_log[0]) == ["operation", "parameters", "seed"]
+        assert type(ds.instances) is tuple and ds.no_answer_token is None

@@ -14,7 +14,13 @@ from slotqa import (
     score_slot_filling,
 )
 
-from helpers import make_dataset, make_instance, oracle_normalize_answer, tally_score
+from helpers import (
+    make_dataset,
+    make_instance,
+    oracle_normalize_answer,
+    oracle_overlap_f1,
+    tally_score,
+)
 
 
 def hand_worked_case():
@@ -154,8 +160,6 @@ def test_zero_division_control():
     )
     default = score_slot_filling(negatives, [Prediction("n1", None)])
     assert (default.precision, default.recall, default.f1) == (0.0, 0.0, 0.0)
-    lenient = score_slot_filling(negatives, [Prediction("n1", None)], zero_division=1.0)
-    assert (lenient.precision, lenient.recall, lenient.f1) == (1.0, 1.0, 1.0)
 
 
 def test_adapted_dataset_scores_like_unadapted():
@@ -290,6 +294,33 @@ def test_overlap_mode_never_scores_below_exact():
     overlap = score_slot_filling(ds, preds, match="overlap")
     assert overlap.precision >= exact.precision
     assert overlap.recall >= exact.recall
+
+
+# few words, so that tokens repeat within and across answers
+_overlap_text = st.lists(
+    st.sampled_from(["a", "the", "x", "x", "y", "Z.", "z", ",", ""]), max_size=6
+).map(" ".join)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(st.lists(_overlap_text, max_size=3), st.none() | _overlap_text), max_size=6)
+)
+def test_overlap_counts_equal_the_oracle(cases):
+    ds = make_dataset(
+        *(
+            make_instance(id=f"i{i}", answers=tuple((0, g) for g in golds))
+            for i, (golds, _) in enumerate(cases)
+        )
+    )
+    preds = [Prediction(f"i{i}", answer) for i, (_, answer) in enumerate(cases)]
+    report = score_slot_filling(ds, preds, match="overlap")
+    correct = 0.0
+    for golds, answer in cases:
+        if answer is not None and golds:
+            correct += oracle_overlap_f1(answer, golds)
+    assert report.counts["correct"] == correct
+    assert report.counts["answered"] == sum(answer is not None for _, answer in cases)
 
 
 def test_unknown_match_mode_rejected():

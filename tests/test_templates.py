@@ -5,7 +5,6 @@ from slotqa import (
     DataError,
     ParseError,
     QuestionTemplate,
-    RelationQuery,
     instantiate,
     load_templates,
     save_templates,
@@ -16,32 +15,25 @@ BIRTH = QuestionTemplate(relation="place_of_birth", pattern="Where was XXX born?
 
 
 def test_instantiate_basic():
-    q = instantiate(BIRTH, RelationQuery("place_of_birth", "Obama"))
+    q = instantiate(BIRTH, "Obama")
     assert q == "Where was Obama born?"
 
 
 def test_instantiate_employer_example():
     t = QuestionTemplate("employer", "Who does XXX work for?")
-    assert instantiate(t, RelationQuery("employer", "Acme Corp")) == "Who does Acme Corp work for?"
+    assert instantiate(t, "Acme Corp") == "Who does Acme Corp work for?"
 
 
 def test_entity_literally_named_placeholder():
     # substitution is verbatim, so an entity spelled "XXX" must survive
-    assert instantiate(BIRTH, RelationQuery("place_of_birth", "XXX")) == "Where was XXX born?"
-
-
-def test_relation_mismatch_names_both_relations():
-    with pytest.raises(DataError) as exc:
-        instantiate(BIRTH, RelationQuery("employer", "Obama"))
-    assert "place_of_birth" in str(exc.value)
-    assert "employer" in str(exc.value)
+    assert instantiate(BIRTH, "XXX") == "Where was XXX born?"
 
 
 def test_pattern_placeholder_count_must_be_one():
     with pytest.raises(DataError):
-        instantiate(QuestionTemplate("r", "Where was he born?"), RelationQuery("r", "Obama"))
+        instantiate(QuestionTemplate("r", "Where was he born?"), "Obama")
     with pytest.raises(DataError):
-        instantiate(QuestionTemplate("r", "XXX said XXX?"), RelationQuery("r", "Obama"))
+        instantiate(QuestionTemplate("r", "XXX said XXX?"), "Obama")
 
 
 def test_load_templates_keeps_valid_rows_and_reports_rejects(tmp_path):
@@ -97,7 +89,7 @@ entities = st.text(min_size=1, max_size=15).filter(lambda s: "\t" not in s and "
 @given(entities)
 def test_instantiate_splices_entity_exactly(entity):
     idx = BIRTH.pattern.index(PLACEHOLDER)
-    result = instantiate(BIRTH, RelationQuery("place_of_birth", entity))
+    result = instantiate(BIRTH, entity)
     assert len(result) == len(BIRTH.pattern) - len(PLACEHOLDER) + len(entity)
     assert result[:idx] == BIRTH.pattern[:idx]
     assert result[idx : idx + len(entity)] == entity
