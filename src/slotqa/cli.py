@@ -33,6 +33,7 @@ from pathlib import Path
 from .model import (
     DEFAULT_NO_ANSWER_TOKEN,
     DataError,
+    Dataset,
     ParseError,
     load_dataset,
     provenance_entries,
@@ -44,12 +45,12 @@ from .model import (
     write_dataset,
     write_json,
     write_predictions,
-    write_sidecar,
 )
 
 # the types replay requires of recorded values; JSON true and false are never numbers here
 _IS_TYPE = {
-    "a non-empty string": lambda value: isinstance(value, str) and value != "",
+    "a path": lambda value: isinstance(value, str) and value != "" and "\0" not in value,
+    "a path or null": lambda value: value in (None, "") or _IS_TYPE["a path"](value),  # "": unset
     "a string": lambda value: isinstance(value, str),
     "a string or null": lambda value: value is None or isinstance(value, str),
     "a boolean": lambda value: isinstance(value, bool),
@@ -64,14 +65,14 @@ class Flag:
     ``options`` are the argparse settings. ``key`` is where provenance records
     the value: ``"seed"`` is the entry's own seed, any other key a parameter.
     ``kind`` is the type replay requires of it. ``role`` marks a file the
-    operation reads ("in") or writes ("out"), a non-empty string unless
-    ``kind`` says otherwise. The CLI records ``role`` and ``cli`` flags, in
+    operation reads ("in") or writes ("out"), a path unless ``kind`` says
+    otherwise. The CLI records ``role`` and ``cli`` flags, in
     flag order, after the keys that the layer records itself.
     """
 
     def __init__(self, name, key=None, kind=None, role=None, cli=False, **options):
         self.name, self.key, self.role, self.options = name, key, role, options
-        self.kind = kind or ("a non-empty string" if role else None)
+        self.kind = kind or ("a path" if role else None)
         self.cli = cli or role is not None
         self.dest = options.get("dest", (name or key).lstrip("-").replace("-", "_"))
 
@@ -112,10 +113,22 @@ def _save(args, dataset, report=None, what="instances", **extra) -> str:
     return f"wrote {len(dataset)} {what} to {args.out}"
 
 
-def _save_plain(args, **recorded) -> None:
-    """The sidecar of an output that is not a dataset: one entry, written by the CLI."""
+def _plain_sidecar(args, **recorded) -> Dataset:
+    """The sidecar of an output that is not a dataset: one entry, recorded by the CLI."""
     entry = {"operation": args.op.name, "parameters": {**_cli_keys(args), **recorded}, "seed": None}
-    write_sidecar(args.out, Path(args.out).stem, None, [entry])
+    return Dataset(name=Path(args.out).stem, provenance_log=(entry,))
+
+
+def _load(path, no_answer_token=None) -> Dataset:
+    """The dataset at ``path``, with ``no_answer_token`` if given; a DataError if it is invalid."""
+    dataset = load_dataset(path)
+    if no_answer_token is not None:
+        dataset = replace(dataset, no_answer_token=no_answer_token)
+    if violations := validate_dataset(dataset):
+        v = violations[0]
+        raise DataError(f"{path}: instance {v.instance_id!r} breaks {v.invariant}: {v.message}"
+                        f" (violations: {len(violations)}; validate lists them all)")
+    return dataset
 
 
 _IN = Flag("--in", "in", role="in", dest="in_path", required=True, metavar="FILE")
@@ -141,7 +154,7 @@ def _ingest_squad(args) -> str:
 
 @Operation("ingest-uwre", "convert slot-filling TSV to canonical JSONL",
            _IN, _SPLIT, _OUT,
-           Flag("--templates-out", "templates_out", "a string or null", role="out", metavar="FILE",
+           Flag("--templates-out", "templates_out", "a path or null", role="out", metavar="FILE",
                 help="write the template inventory as TSV"),
            _REPORT)
 def _ingest_uwre(args) -> str:
@@ -172,7 +185,7 @@ def _ingest_uwre(args) -> str:
 def _negativize(args) -> str:
     from .transforms import negativize_squad
 
-    result, report = negativize_squad(load_dataset(args.in_path), keep_positives=args.keep_positives)
+    result, report = negativize_squad(_load(args.in_path), keep_positives=args.keep_positives)
     wrote = _save(args, result, report)
     return f"{wrote} ({report.skipped} positives skipped: nothing left after removal)"
 
@@ -182,7 +195,7 @@ def _negativize(args) -> str:
 def _adapt_noanswer(args) -> str:
     from .transforms import insert_no_answer_token
 
-    result, _ = insert_no_answer_token(load_dataset(args.in_path), args.token)
+    result, _ = insert_no_answer_token(_load(args.in_path), args.token)
     return f"{_save(args, result, what='adapted instances')} (token {args.token!r})"
 
 
@@ -193,7 +206,7 @@ def _build_challenge(args) -> str:
     from .challenge import build_challenge_set
     from .templates import load_templates
 
-    dataset = load_dataset(args.in_path)
+    dataset = _load(args.in_path)
     positives = tuple(inst for inst in dataset if inst.origin == "uwre_positive")
     if not positives:
         raise DataError(f"{args.in_path}: no uwre_positive instances to build from")
@@ -219,7 +232,7 @@ def _build_uwre_plus(args) -> str:
     if args.split_label:
         seed = derive_seed(args.seed, args.split_label)
         derived = {"master_seed": args.seed, "split_label": args.split_label}
-    result, report = build_uwre_plus(load_dataset(args.in_path), load_dataset(args.pool), seed)
+    result, report = build_uwre_plus(_load(args.in_path), _load(args.pool), seed)
     wrote = _save(args, result, report, **derived)
     extra = report.extra
     return (
@@ -263,9 +276,8 @@ def _predict_baseline(args) -> str:
     # the flags that were given; BaselineConfig supplies the defaults of the rest
     given = {flag.key: getattr(args, flag.dest) for flag in args.op.recorded if not flag.cli}
     config = BaselineConfig(**{key: value for key, value in given.items() if value is not None})
-    predictions = predict_dataset(load_dataset(args.in_path), config)
-    write_predictions(predictions, args.out)
-    _save_plain(args, **config.to_dict())
+    predictions = predict_dataset(_load(args.in_path), config)
+    write_predictions(predictions, args.out, _plain_sidecar(args, **config.to_dict()))
     answered = sum(1 for p in predictions if p.answer is not None)
     return (
         f"wrote {len(predictions)} predictions to {args.out}"
@@ -282,17 +294,14 @@ def _predict_baseline(args) -> str:
 def _score(args) -> str:
     from . import metrics
 
-    dataset = load_dataset(args.dataset)
-    if args.noanswer_token is not None:
-        dataset = replace(dataset, no_answer_token=args.noanswer_token)
+    dataset = _load(args.dataset, args.noanswer_token)
     predictions = read_predictions(args.preds)
     if args.op.name == "score-challenge":
         report = metrics.score_challenge_accuracy(dataset, predictions)
     else:
         report = metrics.score_slot_filling(dataset, predictions, match=args.match)
     if args.out:
-        write_json(report.to_dict(), args.out)
-        _save_plain(args)
+        write_json(report.to_dict(), args.out, _plain_sidecar(args))
     return report.to_tsv() if args.tsv else json.dumps(report.to_dict(), indent=2, ensure_ascii=False)
 
 
@@ -352,7 +361,7 @@ def _replay_args(op: Operation, entry: _Recorded, workdir: Path) -> tuple:
             continue
         record = entry if flag.key == "seed" else entry["parameters"]
         # a key that may be null may also be missing, as from logs written before it existed
-        value = record.get(flag.key) if flag.kind == "a string or null" else record[flag.key]
+        value = record.get(flag.key) if flag.kind.endswith(" or null") else record[flag.key]
         if flag.role == "out" and value:
             candidate = workdir / Path(value).name
             pairs.append((Path(value), candidate))

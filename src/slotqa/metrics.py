@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .model import Dataset, DataError, Instance, Prediction
+from .model import Dataset, DataError, Prediction, no_answer_sentinel
 
 
 _ARTICLES_RE = re.compile(r"\b(a|an|the)\b")
@@ -90,17 +90,6 @@ def _prediction_map(
     return by_id
 
 
-def _effective_gold_texts(inst: Instance, token: str | None) -> tuple[str, ...]:
-    if (
-        token is not None
-        and len(inst.answers) == 1
-        and inst.answers[0].start == 0
-        and inst.answers[0].text == token
-    ):
-        return ()
-    return tuple(span.text for span in inst.answers)
-
-
 def _token_overlap_credit(prediction: str, golds: Sequence[str]) -> float:
     """Max token-level F1 of the prediction against any gold, after normalization."""
     pred_tokens = normalize_answer(prediction).split()
@@ -168,10 +157,11 @@ def _tally(
     """
     token = dataset.no_answer_token
     normalized_token = None if token is None else normalize_answer(token)
+    sentinel = no_answer_sentinel(token)
     overall = _Tally()
     per_relation: dict[str, _Tally] = {}
     for inst in dataset:
-        golds = _effective_gold_texts(inst, token)
+        golds = () if inst.answers == sentinel else tuple(span.text for span in inst.answers)
         pred = by_id.get(inst.id)
         answer = None if pred is None else pred.answer
         normalized = None
@@ -236,8 +226,8 @@ def score_challenge_accuracy(
         raise DataError("cannot score an empty dataset")
     tally, _ = _tally(dataset, _prediction_map(dataset, predictions), "exact")
     if tally.positives:
-        token = dataset.no_answer_token
-        first = next(inst for inst in dataset if _effective_gold_texts(inst, token))
+        sentinel = no_answer_sentinel(dataset.no_answer_token)
+        first = next(inst for inst in dataset if inst.answers and inst.answers != sentinel)
         raise DataError(
             f"challenge accuracy needs an all-negative dataset; {first.id!r} has answers"
         )

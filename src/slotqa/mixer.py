@@ -23,11 +23,11 @@ from .model import (
     DataError,
     ParseError,
     TransformReport,
+    atomic_output,
     decode_line,
     read_json,
     read_sidecar,
     refuse_overwrite,
-    write_sidecar,
 )
 
 DEFAULT_SIZES = (10**3, 10**4, 10**5, 10**6)
@@ -285,7 +285,6 @@ def mix_files(
     out_dir = Path(out_dir)
     names = [f"{spec.base}+{spec.augment}@{k}" for k in spec.sizes]
     out_paths = [out_dir / f"{name}.jsonl" for name in names]
-    # every output is truncated before the inputs are read
     refuse_overwrite(out_paths, (base_path, augment_path))
 
     base_meta = read_sidecar(base_path)
@@ -308,8 +307,30 @@ def mix_files(
     rank = _ranks(population, spec.seed)
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    results, outs = [], []
     with contextlib.ExitStack() as stack:
-        outs = [stack.enter_context(open(path, "wb")) for path in out_paths]
+        for k, name, out_path in zip(spec.sizes, names, out_paths):
+            taken = min(k, population)
+            parameters: dict[str, Any] = {
+                "base": spec.base,
+                "augment": spec.augment,
+                "size": k,
+                "taken": taken,
+                "base_path": str(base_path),
+                "augment_path": str(augment_path),
+                "out": str(out_path),
+            }
+            if k > population:
+                parameters["truncated_to_population"] = True
+            meta = base_meta.derive((), "mix", parameters, spec.seed, name=name)
+            outs.append(stack.enter_context(atomic_output(out_path, binary=True, sidecar=meta)))
+            report = TransformReport(
+                operation="mix",
+                input_count=len(base_ids) + population,
+                output_count=len(base_ids) + taken,
+                parameters=parameters,
+            )
+            results.append((name, out_path, report))
         for lines in _line_blocks(base_path):
             if lines:
                 data = b"\n".join(lines) + b"\n"
@@ -320,35 +341,10 @@ def mix_files(
             ranks = rank[first : first + len(lines)]
             first += len(lines)
             for k, out in zip(spec.sizes, outs):
-                kept = lines if k >= population else [
-                    line for line, r in zip(lines, ranks) if r < k
-                ]
+                kept = lines if k >= population else [line for line, r in zip(lines, ranks) if r < k]
                 if kept:
                     out.write(b"\n".join(kept) + b"\n")
-    if first != population:
-        raise DataError(f"{augment_path}: changed while being mixed")
-
-    results = []
-    for k, name, out_path in zip(spec.sizes, names, out_paths):
-        taken = min(k, population)
-        parameters: dict[str, Any] = {
-            "base": spec.base,
-            "augment": spec.augment,
-            "size": k,
-            "taken": taken,
-            "base_path": str(base_path),
-            "augment_path": str(augment_path),
-            "out": str(out_path),
-        }
-        if k > population:
-            parameters["truncated_to_population"] = True
-        entry = {"operation": "mix", "parameters": parameters, "seed": spec.seed}
-        write_sidecar(out_path, name, base_token, [*base_meta.provenance_log, entry])
-        report = TransformReport(
-            operation="mix",
-            input_count=len(base_ids) + population,
-            output_count=len(base_ids) + taken,
-            parameters=parameters,
-        )
-        results.append((name, out_path, report))
+        # raised inside the block, so that no output is replaced
+        if first != population:
+            raise DataError(f"{augment_path}: changed while being mixed")
     return results

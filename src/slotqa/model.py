@@ -14,7 +14,9 @@ JSONL, written and read by :func:`write_dataset` / :func:`load_dataset`.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -65,6 +67,11 @@ class Span:
 
     start: int
     text: str
+
+
+def no_answer_sentinel(token: str | None) -> tuple[Span, ...] | None:
+    """The answers of a negative adapted with ``token``: one span over it at offset 0."""
+    return None if token is None else (Span(0, token),)
 
 
 @dataclass(frozen=True)
@@ -187,8 +194,7 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
     """
     violations: list[Violation] = []
     seen_ids: set[str] = set()
-    # adapted datasets mark negatives with a sentinel span over the token
-    sentinel = (Span(0, dataset.no_answer_token),) if dataset.no_answer_token else None
+    sentinel = no_answer_sentinel(dataset.no_answer_token) if dataset.no_answer_token else None
     for inst in dataset.instances:
         if inst.id in seen_ids:
             violations.append(
@@ -316,8 +322,8 @@ def instance_from_dict(obj: Any, where: str = "instance") -> Instance:
         raise ParseError(f"{where}: {e}") from None
 
 
-def write_instances(instances: Iterable[Instance], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+def write_instances(instances: Iterable[Instance], path: str | Path, sidecar=None) -> None:
+    with atomic_output(path, sidecar=sidecar) as f:
         for inst in instances:
             f.write(dumps_instance(inst))
             f.write("\n")
@@ -395,13 +401,39 @@ def sidecar_path(path: str | Path) -> Path:
 
 
 def refuse_overwrite(outputs: Iterable, inputs: Iterable) -> None:
-    """A ParseError if writing an output or its sidecar would overwrite an input or its sidecar."""
+    """A ParseError if an output or its sidecar is not a regular file or would overwrite an input."""
     sources = [side for p in inputs if p for side in (Path(p), sidecar_path(p)) if side.exists()]
     for out in filter(None, outputs):
         for written in (Path(out), sidecar_path(out)):
+            if written.exists() and not written.is_file():
+                raise ParseError(f"output {written} is not a regular file")
             for source in sources:
                 if written.exists() and written.samefile(source):
                     raise ParseError(f"output {written} would overwrite input {source}")
+
+
+@contextlib.contextmanager
+def atomic_output(path: str | Path, binary: bool = False, sidecar: Dataset | None = None):
+    """A new file that replaces ``path`` (a link's target) whole once the block succeeds.
+
+    It is hidden beside the target until then, with the mode ``open(path, "w")`` leaves.
+    On success the old sidecar is removed, the file renamed over the target and
+    ``sidecar``'s metadata written; on an exception it is removed. Nothing is fsynced.
+    """
+    target = Path(os.path.realpath(path))
+    temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(temp, "xb" if binary else "x", encoding=None if binary else "utf-8",
+                  newline=None if binary else "\n") as f:
+            yield f
+        with contextlib.suppress(FileNotFoundError):  # a file written over keeps its mode
+            os.chmod(temp, os.stat(target).st_mode & 0o7777)
+        sidecar_path(path).unlink(missing_ok=True)
+        os.replace(temp, target)
+    finally:
+        temp.unlink(missing_ok=True)  # gone already once renamed
+    if sidecar is not None:
+        write_sidecar(path, sidecar)
 
 
 def read_json(path: str | Path) -> Any:
@@ -417,25 +449,22 @@ def read_json(path: str | Path) -> Any:
             raise ParseError(f"{path}: invalid JSON: {e}") from e
 
 
-def write_json(obj: Any, path: str | Path) -> None:
+def write_json(obj: Any, path: str | Path, sidecar=None) -> None:
     """Indented UTF-8 JSON and a final newline: the form of every sidecar and report."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_output(path, sidecar=sidecar) as f:
         json.dump(obj, f, ensure_ascii=False, indent=2)
         f.write("\n")
 
 
-def write_sidecar(
-    path: str | Path, name: str, no_answer_token: str | None, provenance_log: Iterable[dict]
-) -> None:
-    """The metadata sidecar of the file at ``path``."""
-    meta = {"name": name, "no_answer_token": no_answer_token, "provenance_log": list(provenance_log)}
-    write_json(meta, sidecar_path(path))
+def write_sidecar(path: str | Path, meta: Dataset) -> None:
+    """The sidecar of the file at ``path``: ``meta``'s name, no-answer token and provenance."""
+    write_json({"name": meta.name, "no_answer_token": meta.no_answer_token,
+                "provenance_log": list(meta.provenance_log)}, sidecar_path(path))
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write instances as JSONL plus the metadata sidecar."""
-    write_instances(dataset.instances, path)
-    write_sidecar(path, dataset.name, dataset.no_answer_token, dataset.provenance_log)
+    """Write instances as JSONL, then the metadata sidecar."""
+    write_instances(dataset.instances, path, sidecar=dataset)
 
 
 def provenance_entries(meta: dict, where: str | Path) -> tuple[dict, ...]:
@@ -478,8 +507,8 @@ def load_dataset(path: str | Path) -> Dataset:
 # --- prediction files: one {"id": ..., "answer": ...} object per line ---
 
 
-def write_predictions(predictions: Iterable[Prediction], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+def write_predictions(predictions: Iterable[Prediction], path: str | Path, sidecar=None) -> None:
+    with atomic_output(path, sidecar=sidecar) as f:
         for pred in predictions:
             f.write(json.dumps({"id": pred.instance_id, "answer": pred.answer}, ensure_ascii=False))
             f.write("\n")

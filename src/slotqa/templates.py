@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .model import DataError, ParseError, QuestionTemplate, read_lines
+from .model import DataError, ParseError, QuestionTemplate, atomic_output, read_lines
 
 PLACEHOLDER = "XXX"
 
@@ -67,7 +67,7 @@ def load_templates(path: str | Path) -> tuple[list[QuestionTemplate], list[str]]
 
 
 def save_templates(templates: Iterable[QuestionTemplate], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_output(path) as f:
         for t in templates:
             f.write(f"{t.relation}\t{t.pattern}\n")
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .model import DEFAULT_NO_ANSWER_TOKEN, Dataset, DataError, Instance, Span, TransformReport
+from .model import (DEFAULT_NO_ANSWER_TOKEN, Dataset, DataError, Instance, Span, TransformReport,
+                    no_answer_sentinel)
 
 # Sentence-closing candidates: a terminator that ends the text or is followed
 # by whitespace (``\s`` is exactly ``str.isspace``), taken with that
@@ -177,7 +178,7 @@ def insert_no_answer_token(
             answers = tuple(Span(s.start + shift, s.text) for s in inst.answers)
             report.extra["positives_shifted"] = report.extra.get("positives_shifted", 0) + 1
         else:
-            answers = (Span(0, token),)
+            answers = no_answer_sentinel(token)
             report.extra["negatives_marked"] = report.extra.get("negatives_marked", 0) + 1
         out.append(replace(inst, context=prefix + inst.context, answers=answers))
     report.output_count = len(out)
@@ -198,7 +199,7 @@ def strip_no_answer_token(dataset: Dataset) -> tuple[Dataset, TransformReport]:
     for inst in dataset:
         if not inst.context.startswith(prefix):
             raise DataError(f"{inst.id!r}: context does not start with {token!r}")
-        if len(inst.answers) == 1 and inst.answers[0] == Span(0, token):
+        if inst.answers == no_answer_sentinel(token):
             answers: tuple[Span, ...] = ()
         else:
             answers = tuple(Span(s.start - shift, s.text) for s in inst.answers)

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -604,6 +606,85 @@ def test_an_output_that_would_overwrite_an_input_is_refused(
     assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
 
 
+@pytest.mark.parametrize(
+    "argv, special",
+    [
+        (["adapt-noanswer", "--in", "{pos}", "--out", "{special}"], "dir"),
+        (["adapt-noanswer", "--in", "{pos}", "--out", "{tmp}/a.jsonl"], "{tmp}/a.jsonl.prov.json"),
+        (["negativize", "--in", "{pos}", "--out", "{tmp}/n.jsonl", "--report", "{special}"], "dir"),
+        (
+            ["ingest-uwre", "--in", "{uwre}", "--split", "test", "--out", "{tmp}/u.jsonl",
+             "--templates-out", "{special}"],
+            "dir",
+        ),
+        (["predict-baseline", "--in", "{pos}", "--out", "{special}"], "fifo"),
+    ],
+    ids=["out-dir", "sidecar-dir", "report-dir", "templates-out-dir", "out-fifo"],
+)
+def test_an_output_that_is_not_a_regular_file_is_refused(
+    tmp_path, squad_file, uwre_file, capsys, argv, special
+):
+    pos = tmp_path / "pos.jsonl"
+    main(["ingest-squad", "--in", str(squad_file), "--split", "train", "--out", str(pos)])
+    names = dict(pos=pos, uwre=uwre_file, tmp=tmp_path, special=tmp_path / "special")
+    if special == "fifo":
+        os.mkfifo(names["special"])
+    else:
+        Path(special.format(**names).replace("dir", str(names["special"]))).mkdir()
+    capsys.readouterr()
+    argv = [arg.format(**names) for arg in argv]
+    before = sorted(tmp_path.iterdir())
+
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output ") and err.endswith(" is not a regular file\n")
+    # refused before anything is written
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def _corrupt(path):
+    """Break ``span_matches_context`` in the first instance of a dataset, a positive."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    first = json.loads(lines[0])
+    span = first["answers"][0]
+    span["text"] = "\u2603" + span["text"][1:]
+    lines[0] = json.dumps(first) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return first["id"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "negativize --in {bad} --out {out}",
+        "adapt-noanswer --in {bad} --out {out}",
+        "predict-baseline --in {bad} --out {out}",
+        "score --dataset {bad} --preds {preds} --out {out}",
+        "score-challenge --dataset {bad} --preds {preds} --out {out}",
+        "build-challenge --in {bad} --templates {templates} --seed 1 --out {out}",
+        "build-uwre-plus --in {bad} --pool {good} --seed 1 --out {out}",
+        "build-uwre-plus --in {good} --pool {bad} --seed 1 --out {out}",
+    ],
+)
+def test_every_command_refuses_an_invalid_dataset_it_reads(tmp_path, uwre_file, capsys, argv):
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    preds, templates, out = tmp_path / "p.jsonl", tmp_path / "t.tsv", tmp_path / "out.jsonl"
+    main(["ingest-uwre", "--in", str(uwre_file), "--split", "test", "--out", str(good),
+          "--templates-out", str(templates)])
+    main(["ingest-uwre", "--in", str(uwre_file), "--split", "test", "--out", str(bad)])
+    main(["predict-baseline", "--in", str(good), "--out", str(preds)])
+    broken = _corrupt(bad)
+    assert main(["validate", "--in", str(bad)]) == 1
+    capsys.readouterr()
+    names = dict(good=good, bad=bad, preds=preds, templates=templates, out=out)
+
+    assert main(argv.format(**names).split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: instance {broken!r} breaks span_matches_context: span at ")
+    assert err.endswith(" (violations: 1; validate lists them all)\n")
+    assert not out.exists()
+
+
 def test_replay_entry_missing_a_parameter_is_a_parse_error(tmp_path, squad_file):
     pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
     main(["ingest-squad", "--in", str(squad_file), "--split", "train", "--out", str(pos)])
@@ -649,7 +730,7 @@ def test_replay_parameter_that_is_not_a_path_is_a_parse_error(tmp_path, operatio
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == (
-        f"error: {log}: step 0 ({operation}): 'parameters.{key}' must be a non-empty string\n"
+        f"error: {log}: step 0 ({operation}): 'parameters.{key}' must be a path\n"
     )
 
 
@@ -710,7 +791,23 @@ def test_replay_templates_out_of_the_wrong_type_is_a_parse_error(tmp_path, uwre_
     proc = _slotqa("replay", "--log", log)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert f"step 0 (ingest-uwre): 'parameters.templates_out' must be a string or null" in proc.stderr
+    assert f"step 0 (ingest-uwre): 'parameters.templates_out' must be a path or null" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [("out", "x\u0000y.jsonl", "a path"), ("templates_out", "t\u0000.tsv", "a path or null")],
+)
+def test_replay_path_holding_nul_is_a_parse_error(tmp_path, uwre_file, key, value, kind):
+    out = tmp_path / "uwre.jsonl"
+    assert main(["ingest-uwre", "--in", str(uwre_file), "--split", "train", "--out", str(out)]) == 0
+    log = sidecar_path(out)
+    meta = json.loads(log.read_text(encoding="utf-8"))
+    meta["provenance_log"][0]["parameters"][key] = value
+    log.write_text(json.dumps(meta), encoding="utf-8")
+    proc = _slotqa("replay", "--log", log)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {log}: step 0 (ingest-uwre): 'parameters.{key}' must be {kind}\n"
 
 
 def test_replay_mix_entry_without_seed_is_a_parse_error(tmp_path, capsys):

@@ -147,7 +147,7 @@ def _valid(path: str) -> bool:
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(mutations())
 def test_mutated_inputs_exit_0_1_or_2_and_leave_valid_datasets(tmp_path_factory, corpus, case):
-    (_, reads, writes), argv, target, kind, where, value = case
+    (_, _, writes), argv, target, kind, where, value = case
     work = tmp_path_factory.mktemp("fuzz")
     shutil.copytree(corpus, work, dirs_exist_ok=True)
     try:
@@ -156,9 +156,9 @@ def test_mutated_inputs_exit_0_1_or_2_and_leave_valid_datasets(tmp_path_factory,
             code, err = _run(argv)
             assert code in (0, 1, 2), (argv, err)
             assert "Traceback" not in err
-            # a transform passes on what is wrong with its input, so only valid inputs
-            # must give a valid output; mix's output is not checked (it copies lines)
-            if code == 0 and writes and all(_valid(r) for r in reads if r.endswith(".jsonl")):
+            # every command validates the datasets it reads; mix's output is not
+            # checked, because mix copies lines and leaves validating them to the user
+            if code == 0 and writes:
                 assert _valid(writes), (argv, target)
     finally:
         shutil.rmtree(work)

@@ -602,6 +602,11 @@ def test_mix_files_notices_an_augment_that_changes_after_the_scan(tmp_path, monk
                 f.write(LINE % "late" + "\n")
         return result
 
+    out = tmp_path / "out"
+    mix_files(spec_for((4,), seed=0), base, augment, out)
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
     monkeypatch.setattr(mixer, "_scan", scan_then_append)
     with pytest.raises(DataError, match="changed while being mixed"):
-        mix_files(spec_for((4,), seed=0), base, augment, tmp_path / "out")
+        mix_files(spec_for((4,), seed=1), base, augment, out)
+    # a failed mix replaces no output and leaves no temporary file
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
