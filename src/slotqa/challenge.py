@@ -70,7 +70,7 @@ def build_challenge_set(
         ]
         if not eligible:
             skipped += 1
-            report.notes.append(f"{inst.id}: no eligible donor entity")
+            report.note(f"{inst.id}: no eligible donor entity")
             continue
         donor = rng.choice(eligible)
         if inst.relation not in grouped:

@@ -212,7 +212,7 @@ def _build_challenge(args) -> str:
         raise DataError(f"{args.in_path}: no uwre_positive instances to build from")
     templates, rejections = load_templates(args.templates)
     result, report = build_challenge_set(replace(dataset, instances=positives), templates, args.seed)
-    report.notes.extend(rejections)
+    report.note(*rejections)
     wrote = _save(args, result, report, what="challenge instances")
     return f"{wrote} ({report.extra['skipped_no_donor']} positives had no donor)"
 
@@ -323,56 +323,10 @@ def _validate(args) -> str | int:
     return 1
 
 
-class _Recorded(dict):
-    """A replay entry or its parameters; a missing key is a ParseError naming the step."""
-
-    def __init__(self, fields: dict, where: str, prefix: str):
-        super().__init__(fields)
-        self.where = where
-        self.prefix = prefix
-
-    def __missing__(self, key):
-        raise ParseError(f"{self.where}: missing required key '{self.prefix}{key}'")
-
-
-_COMPARE_BYTES = 1 << 20
-
-
-def _same_bytes(a: Path, b: Path) -> bool:
-    """Whether two files hold the same bytes, read a block at a time."""
-    if a.stat().st_size != b.stat().st_size:
-        return False
-    with open(a, "rb") as fa, open(b, "rb") as fb:
-        while True:
-            chunk = fa.read(_COMPARE_BYTES)
-            if chunk != fb.read(_COMPARE_BYTES):
-                return False
-            if not chunk:
-                return True
-
-
-def _replay_args(op: Operation, entry: _Recorded, workdir: Path) -> tuple:
-    """Arguments re-running a step into ``workdir``; (recorded, new) output paths."""
-    values = {"op": op}
-    pairs = []
-    for flag in op.flags:
-        if flag.key is None:  # every such option is off when None
-            values[flag.dest] = None
-            continue
-        record = entry if flag.key == "seed" else entry["parameters"]
-        # a key that may be null may also be missing, as from logs written before it existed
-        value = record.get(flag.key) if flag.kind.endswith(" or null") else record[flag.key]
-        if flag.role == "out" and value:
-            candidate = workdir / Path(value).name
-            pairs.append((Path(value), candidate))
-            value = str(candidate)
-        values[flag.dest] = value
-    return argparse.Namespace(**values), pairs
-
-
 @Operation("replay", "re-execute a provenance log and verify outputs",
            Flag("--log", required=True, metavar="FILE", help="a .prov.json sidecar"))
 def _replay(args) -> int:
+    import filecmp
     import tempfile
 
     meta = read_json(args.log)
@@ -390,35 +344,41 @@ def _replay(args) -> int:
             parameters = entry.get("parameters", {})
             if not isinstance(parameters, dict):
                 raise ParseError(f"{where}: parameters must be an object")
-            parameters = _Recorded(parameters, where, "parameters.")
-            entry = _Recorded({**entry, "parameters": parameters}, where, "")
             if "out" not in parameters:
                 print(f"skip: step {i} ({name}) records no output path")
                 continue
-            for flag in op.recorded:
-                record, label = (
-                    (entry, flag.key) if flag.key == "seed" else (parameters, f"parameters.{flag.key}")
-                )
-                if flag.key in record and not _IS_TYPE[flag.kind](record[flag.key]):
-                    raise ParseError(f"{where}: '{label}' must be {flag.kind}")
-            for flag in op.recorded:
-                source = parameters.get(flag.key)
-                if flag.role == "in" and not (source and Path(source).exists()):
-                    print(f"missing input for step {i} ({name}): {flag.key}={source!r}", file=sys.stderr)
-                    return 2
             workdir = Path(tmp) / f"step{i:03d}"
+            # the runner's arguments: every option the log does not record is off
+            values, outputs = {flag.dest: None for flag in op.flags}, []
+            for flag in op.recorded:
+                record, prefix = (entry, "") if flag.key == "seed" else (parameters, "parameters.")
+                # a key that may be null may also be missing, as from logs written before it existed
+                if flag.key not in record and not flag.kind.endswith(" or null"):
+                    raise ParseError(f"{where}: missing required key '{prefix}{flag.key}'")
+                value = values[flag.dest] = record.get(flag.key)
+                if not _IS_TYPE[flag.kind](value):
+                    raise ParseError(f"{where}: '{prefix}{flag.key}' must be {flag.kind}")
+                if flag.role == "out" and value:  # written again into the step's work directory
+                    recorded = Path(value)
+                    outputs.append((recorded, workdir / recorded.name))
+                    values[flag.dest] = str(workdir / recorded.name)
+            for flag in op.recorded:
+                if flag.role == "in" and not Path(values[flag.dest]).exists():
+                    print(f"missing input for step {i} ({name}): {flag.key}={values[flag.dest]!r}",
+                          file=sys.stderr)
+                    return 2
             workdir.mkdir()
-            replayed, pairs = _replay_args(op, entry, workdir)
-            op.run(replayed)
-            for recorded, candidate in pairs:
+            op.run(argparse.Namespace(op=op, **values))
+            for recorded, candidate in outputs:
                 if not recorded.exists():
                     print(f"missing recorded output for step {i} ({name}): {recorded}", file=sys.stderr)
                     return 2
-                if not _same_bytes(recorded, candidate):
+                # False for anything but two regular files of the same bytes
+                if filecmp.cmp(recorded, candidate, shallow=False):
+                    print(f"ok: step {i} ({name}) reproduces {recorded}")
+                else:
                     print(f"MISMATCH: step {i} ({name}) does not reproduce {recorded}")
                     mismatches += 1
-                else:
-                    print(f"ok: step {i} ({name}) reproduces {recorded}")
     if mismatches:
         print(f"{mismatches} outputs differ", file=sys.stderr)
         return 1

@@ -102,11 +102,11 @@ def ingest_squad(document: Any, split: str) -> tuple[Dataset, TransformReport]:
                     spans.append(Span(start, text))
                 if bad is not None:
                     report.skipped += 1
-                    report.notes.append(bad)
+                    report.note(bad)
                     continue
                 if not spans:
                     report.skipped += 1
-                    report.notes.append(f"{qa_id}: no answers given")
+                    report.note(f"{qa_id}: no answers given")
                     continue
                 instances.append(
                     Instance(
@@ -181,7 +181,7 @@ def ingest_uwre(
             spans.append(Span(start, answer))
         if bad is not None:
             report.skipped += 1
-            report.notes.append(bad)
+            report.note(bad)
             continue
         instances.append(
             Instance(

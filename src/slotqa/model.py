@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -161,6 +162,10 @@ class Violation:
     message: str
 
 
+# a report keeps this many notes and counts the rest
+_MAX_NOTES = 1000
+
+
 @dataclass
 class TransformReport:
     """Summary of one dataset-producing operation; serializes to plain JSON."""
@@ -172,6 +177,13 @@ class TransformReport:
     parameters: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
+    notes_dropped: int = 0
+
+    def note(self, *texts: str) -> None:
+        """Add notes; past the first 1,000 only their number is kept."""
+        room = _MAX_NOTES - len(self.notes)
+        self.notes.extend(texts[:room])
+        self.notes_dropped += len(texts[room:])
 
     def to_dict(self) -> dict:
         out: dict[str, Any] = {
@@ -183,6 +195,8 @@ class TransformReport:
         }
         out.update(self.extra)
         out["notes"] = self.notes
+        if self.notes_dropped:
+            out["notes_dropped"] = self.notes_dropped
         return out
 
 
@@ -308,10 +322,10 @@ def _parse_instance(obj: Any) -> Instance:
         obj["question"],
         obj["context"],
         tuple(answers),
-        obj["relation"],
+        obj["relation"] and sys.intern(obj["relation"]),  # few distinct values: one copy each
         obj["subject_entity"],
-        obj["origin"],
-        obj["split"],
+        sys.intern(obj["origin"]),
+        sys.intern(obj["split"]),
     )
 
 
@@ -359,25 +373,22 @@ def decode_line(text: str) -> Any:
 def read_lines(path: str | Path) -> Iterator[str]:
     """The lines of a UTF-8 text file, as text-mode iteration yields them.
 
-    Bytes that are not UTF-8 are a ParseError naming the first bad line.
-    Text mode decodes ahead of the line it yields, so that line is found by
-    reading the file again, split into lines as universal newlines split it.
+    The file is read once. Bytes that are not UTF-8 are a ParseError naming
+    the line they are on, once every line before it has been yielded.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            yield from f
-            return
-        except UnicodeDecodeError:
-            pass
-    with open(path, "rb") as f:
-        for lineno, line in enumerate(f.read().splitlines(), start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise ParseError(
-                    f"{path}: line {lineno}: invalid UTF-8 at byte {e.start}: {e.reason}"
-                ) from e
-    raise ParseError(f"{path}: invalid UTF-8")
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:  # a byte kept as a surrogate: decode the line's bytes
+                    try:
+                        line.rstrip("\n").encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as e:
+                        raise ParseError(
+                            f"{path}: line {lineno}: invalid UTF-8 at byte {e.start}: {e.reason}"
+                        ) from e
+            yield line
 
 
 def _read_jsonl(path: str | Path, parse) -> tuple:
@@ -416,15 +427,20 @@ def refuse_overwrite(outputs: Iterable, inputs: Iterable) -> None:
 def atomic_output(path: str | Path, binary: bool = False, sidecar: Dataset | None = None):
     """A new file that replaces ``path`` (a link's target) whole once the block succeeds.
 
-    It is hidden beside the target until then, with the mode ``open(path, "w")`` leaves.
-    On success the old sidecar is removed, the file renamed over the target and
-    ``sidecar``'s metadata written; on an exception it is removed. Nothing is fsynced.
+    It is hidden beside the target until then, with the mode ``open(path, "w")`` leaves;
+    an error creating it names ``path``. On success the old sidecar is removed, the file
+    renamed over the target and ``sidecar``'s metadata written; on an exception it is
+    removed. Nothing is fsynced.
     """
     target = Path(os.path.realpath(path))
     temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(temp, "xb" if binary else "x", encoding=None if binary else "utf-8",
-                  newline=None if binary else "\n") as f:
+        f = open(temp, "xb" if binary else "x", encoding=None if binary else "utf-8",
+                 newline=None if binary else "\n")
+    except OSError as e:  # name the output, not the temporary file
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from e
+    try:
+        with f:
             yield f
         with contextlib.suppress(FileNotFoundError):  # a file written over keeps its mode
             os.chmod(temp, os.stat(target).st_mode & 0o7777)

@@ -128,7 +128,7 @@ def negativize_squad(
         ]
         if not survivors:
             skipped += 1
-            report.notes.append(f"{inst.id}: every sentence overlaps a gold span")
+            report.note(f"{inst.id}: every sentence overlaps a gold span")
             continue
         context = " ".join(inst.context[b.start : b.end] for b in survivors)
         out.append(

@@ -1,3 +1,4 @@
+import filecmp
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from slotqa import Prediction, load_dataset, read_predictions, write_predictions
 from slotqa import cli
-from slotqa.cli import _same_bytes, main
+from slotqa.cli import main
 from slotqa.model import sidecar_path
 
 SQUAD_DOC = {
@@ -398,20 +399,50 @@ def test_predict_baseline_refuses_a_threshold_that_is_not_finite(tmp_path, capsy
     assert not sidecar_path(preds).exists()
 
 
-def test_same_bytes_compares_block_by_block(tmp_path, monkeypatch):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for left, right, same in [
-        (b"", b"", True),
-        (b"abcdefghij", b"abcdefghij", True),
-        (b"abcdefghij", b"abcdefghiJ", False),
-        (b"abcdefghij", b"abcdefghi", False),
-        (b"Abcdefghij", b"abcdefghij", False),
-    ]:
-        a.write_bytes(left)
-        b.write_bytes(right)
-        for block in (1, 3, 4, 10, 1 << 20):
-            monkeypatch.setattr(cli, "_COMPARE_BYTES", block)
-            assert _same_bytes(a, b) is same
+def test_a_file_that_is_not_utf8_is_reported_at_its_first_bad_line(tmp_path):
+    # line 1 fails before the byte 0xff of a later line is read
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"x\n\xff\n")
+    proc = _slotqa("validate", "--in", bad)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {bad}: line 1: invalid JSON: ")
+
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"r\tWhere is XXX?\te\ts\nline two\n\xff\n")
+    proc = _slotqa("ingest-uwre", "--in", bad, "--split", "dev", "--out", tmp_path / "o.jsonl")
+    assert (proc.returncode, proc.stderr) == (
+        2, f"error: {bad}: line 1: expected 5 tab-separated fields, got 4\n"
+    )
+
+    # a pipe can be read only once
+    proc = subprocess.run(
+        [sys.executable, "-m", "slotqa", "validate", "--in", "/dev/stdin"],
+        input=b'{"id": 1}\n\xff\n', capture_output=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == (
+        "error: /dev/stdin: line 1: bad instance fields, missing ['question', 'context',"
+        " 'answers', 'relation', 'subject_entity', 'origin', 'split']\n"
+    )
+    _jsonl(tmp_path / "good.jsonl", ["x0"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "slotqa", "validate", "--in", "/dev/stdin"],
+        input=(tmp_path / "good.jsonl").read_bytes() + b"\xff\n", capture_output=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "error: /dev/stdin: line 2: invalid UTF-8 at byte 0: invalid start byte\n"
+
+
+def test_an_output_in_a_missing_directory_is_named_as_given(tmp_path, squad_file):
+    proc = subprocess.run(
+        [sys.executable, "-m", "slotqa", "ingest-squad", "--in", str(squad_file), "--split", "dev",
+         "--out", "nodir/o.jsonl"],
+        cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 2] No such file or directory: 'nodir/o.jsonl'\n"
+    assert ".tmp" not in proc.stderr
 
 
 def test_replay_catches_a_late_one_byte_difference(tmp_path, capsys):
@@ -439,16 +470,18 @@ def test_replay_works_under_tmpdir_and_removes_what_it_made(tmp_path, squad_file
     root.mkdir()
     monkeypatch.setenv("TMPDIR", str(root))
     monkeypatch.setattr(tempfile, "tempdir", None)  # gettempdir reads TMPDIR again
-    compared = []
+    compared, cmp = [], filecmp.cmp
 
-    def same_bytes(recorded, candidate):
-        compared.append(candidate)
-        return _same_bytes(recorded, candidate)
+    def compare(recorded, candidate, shallow=True):
+        compared.append((candidate, shallow))
+        return cmp(recorded, candidate, shallow)
 
-    monkeypatch.setattr(cli, "_same_bytes", same_bytes)
+    monkeypatch.setattr(filecmp, "cmp", compare)
     assert main(["replay", "--log", str(sidecar_path(pos))]) == 0
     assert tempfile.gettempdir() == str(root)
-    assert [c.relative_to(root).parts[1:] for c in compared] == [("step000", "pos.jsonl")]
+    assert [(c.relative_to(root).parts[1:], shallow) for c, shallow in compared] == [
+        (("step000", "pos.jsonl"), False)
+    ]
     assert list(root.iterdir()) == []
 
 
@@ -515,6 +548,55 @@ def test_replay_missing_input_is_usage_error(tmp_path, squad_file):
     main(["ingest-squad", "--in", str(squad_file), "--split", "train", "--out", str(pos)])
     squad_file.unlink()
     assert main(["replay", "--log", str(sidecar_path(pos))]) == 2
+
+
+def test_replay_compares_outputs_of_any_size(tmp_path, squad_file, capsys):
+    squad, out = tmp_path / "empty.json", tmp_path / "empty.jsonl"
+    squad.write_text('{"data": []}', encoding="utf-8")
+    assert main(["ingest-squad", "--in", str(squad), "--split", "dev", "--out", str(out)]) == 0
+    assert out.read_bytes() == b""
+    log = str(sidecar_path(out))
+    capsys.readouterr()
+    assert main(["replay", "--log", log]) == 0
+    assert capsys.readouterr().out == f"ok: step 0 (ingest-squad) reproduces {out}\n"
+    for tampered in (b"\n", b"x" * 100_000):
+        out.write_bytes(tampered)
+        assert main(["replay", "--log", log]) == 1
+        assert capsys.readouterr().out == f"MISMATCH: step 0 (ingest-squad) does not reproduce {out}\n"
+
+    pos = tmp_path / "pos.jsonl"
+    main(["ingest-squad", "--in", str(squad_file), "--split", "dev", "--out", str(pos)])
+    log = str(sidecar_path(pos))
+    data = pos.read_bytes()
+    for tampered in (data[:-1], data + b"\n", data[:1]):
+        pos.write_bytes(tampered)
+        capsys.readouterr()
+        assert main(["replay", "--log", log]) == 1
+        assert capsys.readouterr().out == f"MISMATCH: step 0 (ingest-squad) does not reproduce {pos}\n"
+
+
+def test_replay_output_that_is_a_directory_is_a_mismatch(tmp_path, squad_file, capsys):
+    pos = tmp_path / "pos.jsonl"
+    main(["ingest-squad", "--in", str(squad_file), "--split", "train", "--out", str(pos)])
+    pos.unlink()
+    pos.mkdir()
+    capsys.readouterr()
+    assert main(["replay", "--log", str(sidecar_path(pos))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"MISMATCH: step 0 (ingest-squad) does not reproduce {pos}\n"
+    assert captured.err == "1 outputs differ\n"
+
+
+def test_replay_entry_missing_an_input_key_is_a_parse_error(tmp_path, squad_file):
+    pos = tmp_path / "pos.jsonl"
+    main(["ingest-squad", "--in", str(squad_file), "--split", "train", "--out", str(pos)])
+    log = sidecar_path(pos)
+    meta = json.loads(log.read_text(encoding="utf-8"))
+    del meta["provenance_log"][0]["parameters"]["in"]
+    log.write_text(json.dumps(meta), encoding="utf-8")
+    proc = _slotqa("replay", "--log", log)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {log}: step 0 (ingest-squad): missing required key 'parameters.in'\n"
 
 
 def test_replay_skips_unknown_operations(tmp_path, capsys):

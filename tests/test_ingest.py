@@ -172,6 +172,20 @@ def test_ingest_uwre_drops_unlocatable_answer():
     assert any("line 1" in note for note in report.notes)
 
 
+@pytest.mark.parametrize("dropped", [1000, 1001])
+def test_a_report_keeps_the_first_thousand_notes_and_counts_the_rest(dropped):
+    bad = "r\tWho employs XXX?\tJo\tJo works for Acme.\tGlobex\n"
+    ds, _, report = ingest_uwre([bad] * dropped + [UWRE_LINE], "train")
+    assert (len(ds), report.skipped) == (1, dropped)
+    out = report.to_dict()
+    assert out["notes"] == [f"line {i}: answer 'Globex' not found in sentence" for i in range(1, 1001)]
+    if dropped > 1000:
+        assert list(out)[-2:] == ["notes", "notes_dropped"]
+        assert out["notes_dropped"] == dropped - 1000
+    else:
+        assert list(out)[-1] == "notes"
+
+
 def test_ingest_uwre_malformed_rows_are_fatal():
     with pytest.raises(ParseError) as exc:
         ingest_uwre(["r\tWhere was XXX born?\tObama\tno answer field\n"], "train")

@@ -4,6 +4,7 @@ The module sets are observed in fresh interpreters, because this test
 process has long since imported every module.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -89,6 +90,32 @@ def test_a_spawned_scan_worker_loads_only_mixer_and_model(tmp_path):
         f"    print(pool.submit(eval, {_SUBMODULES!r}).result())"
     )
     assert _run(code) == {"mixer", "model"}
+
+
+def test_slotqa_loads_only_the_standard_library():
+    """No installed package, numpy and orjson included, is loaded by any slotqa module.
+
+    Compared with the modules loaded before slotqa, because site ``.pth``
+    files may preload packages of their own.
+    """
+    code = (
+        "import pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import slotqa\n"
+        "for module in pkgutil.iter_modules(slotqa.__path__):\n"
+        "    __import__(f'slotqa.{module.name}')\n"
+        "allowed = {*sys.stdlib_module_names, 'slotqa'}\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.partition('.')[0] not in allowed))"
+    )
+    assert _run(code) == set()
+    # the imports a function makes when it runs
+    for path in Path(slotqa.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else (
+                [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else []
+            )
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
 def test_every_public_name_is_its_home_modules_object():

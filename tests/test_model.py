@@ -1,4 +1,5 @@
 import json
+import random
 import re
 
 import pytest
@@ -19,7 +20,7 @@ from slotqa import (
     write_dataset,
     write_instances,
 )
-from slotqa.model import decode_line, read_predictions, sidecar_path
+from slotqa.model import decode_line, read_lines, read_predictions, sidecar_path
 
 from helpers import make_dataset, make_instance
 
@@ -185,6 +186,42 @@ def test_read_instances_names_the_line_that_is_not_utf8_as_text_mode_numbers_it(
     with pytest.raises(ParseError) as caught:
         read_instances(path)
     assert str(caught.value) == f"{path}: line 3: invalid UTF-8 at byte 11: invalid continuation byte"
+
+
+def test_read_lines_names_the_first_line_that_is_not_utf8(tmp_path):
+    """Against an oracle that decodes each line of the bytes as universal newlines split them."""
+    rng = random.Random(7)
+    pieces = [b"a", b"\xc3\xa9", b"\xe2\x82\xac", b"\xf0\x9f\x99\x82", b"\n", b"\r\n", b"\r",
+              b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\x80"]
+    path = tmp_path / "f.txt"
+    for _ in range(300):
+        data = b"".join(rng.choices(pieces, k=rng.randrange(1, 30)))
+        path.write_bytes(data)
+        expected = None
+        for lineno, line in enumerate(data.splitlines(), start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                expected = f"{path}: line {lineno}: invalid UTF-8 at byte {e.start}: {e.reason}"
+                break
+        lines = []
+        try:
+            lines.extend(read_lines(path))
+        except ParseError as e:
+            assert str(e) == expected, data
+        else:
+            assert expected is None, data
+            assert lines == data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").splitlines(True)
+
+
+def test_read_instances_keeps_one_copy_of_each_origin_split_and_relation(tmp_path):
+    path = tmp_path / "d.jsonl"
+    lines = [json.dumps(_record(id=f"q{i}", relation="place of birth")) + "\n" for i in range(2)]
+    path.write_text("".join(lines), encoding="utf-8")
+    first, second = read_instances(path)
+    assert first.origin is second.origin
+    assert first.split is second.split
+    assert first.relation is second.relation
 
 
 def test_read_instances_refuses_a_line_nested_too_deep(tmp_path):
