@@ -358,23 +358,24 @@ def _replay(args) -> int:
                 value = values[flag.dest] = record.get(flag.key)
                 if not _IS_TYPE[flag.kind](value):
                     raise ParseError(f"{where}: '{prefix}{flag.key}' must be {flag.kind}")
-                if flag.role == "out" and value:  # written again into the step's work directory
-                    recorded = Path(value)
-                    outputs.append((recorded, workdir / recorded.name))
-                    values[flag.dest] = str(workdir / recorded.name)
+                if flag.role == "out" and value:  # written again in a directory of its own: names may repeat
+                    candidate = workdir / flag.dest / Path(value).name
+                    outputs.append((Path(value), candidate))
+                    values[flag.dest] = str(candidate)
             for flag in op.recorded:
                 if flag.role == "in" and not Path(values[flag.dest]).exists():
                     print(f"missing input for step {i} ({name}): {flag.key}={values[flag.dest]!r}",
                           file=sys.stderr)
                     return 2
-            workdir.mkdir()
+            for _, candidate in outputs:
+                candidate.parent.mkdir(parents=True)
             op.run(argparse.Namespace(op=op, **values))
             for recorded, candidate in outputs:
                 if not recorded.exists():
                     print(f"missing recorded output for step {i} ({name}): {recorded}", file=sys.stderr)
                     return 2
-                # False for anything but two regular files of the same bytes
-                if filecmp.cmp(recorded, candidate, shallow=False):
+                # a mismatch: an output not written again, or anything but two regular files of the same bytes
+                if candidate.exists() and filecmp.cmp(recorded, candidate, shallow=False):
                     print(f"ok: step {i} ({name}) reproduces {recorded}")
                 else:
                     print(f"MISMATCH: step {i} ({name}) does not reproduce {recorded}")

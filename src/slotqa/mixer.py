@@ -278,7 +278,9 @@ def mix_files(
     alive, in a daemonic process, or if no pool can be used, the scan runs
     in this process. Memory stays bounded by the base ids and a rank table
     of 4 bytes per augment line, never by instance objects; each scan
-    worker receives its own copy of the base ids.
+    worker receives its own copy of the base ids. The rank table, and the
+    shuffle that draws it, is built only when some size is below the
+    augment's line count, so replaying an all-taking mix does no shuffle.
     """
     spec.validate()
     base_path, augment_path = Path(base_path), Path(augment_path)
@@ -303,8 +305,9 @@ def mix_files(
             f"{len(colliding)} instance ids occur in both base and augment: {colliding[:10]}"
         )
 
-    # the output of size k takes exactly the augment lines ranked below k
-    rank = _ranks(population, spec.seed)
+    # the output of size k takes exactly the augment lines ranked below k;
+    # sizes increase, so when the smallest takes every line no rank is read
+    rank = _ranks(population, spec.seed) if spec.sizes[0] < population else None
 
     out_dir.mkdir(parents=True, exist_ok=True)
     results, outs = [], []
@@ -338,7 +341,7 @@ def mix_files(
                     out.write(data)
         first = 0
         for lines in _line_blocks(augment_path):
-            ranks = rank[first : first + len(lines)]
+            ranks = rank[first : first + len(lines)] if rank is not None else ()
             first += len(lines)
             for k, out in zip(spec.sizes, outs):
                 kept = lines if k >= population else [line for line, r in zip(lines, ranks) if r < k]

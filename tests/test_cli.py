@@ -480,7 +480,7 @@ def test_replay_works_under_tmpdir_and_removes_what_it_made(tmp_path, squad_file
     assert main(["replay", "--log", str(sidecar_path(pos))]) == 0
     assert tempfile.gettempdir() == str(root)
     assert [(c.relative_to(root).parts[1:], shallow) for c, shallow in compared] == [
-        (("step000", "pos.jsonl"), False)
+        (("step000", "out", "pos.jsonl"), False)
     ]
     assert list(root.iterdir()) == []
 
@@ -585,6 +585,57 @@ def test_replay_output_that_is_a_directory_is_a_mismatch(tmp_path, squad_file, c
     captured = capsys.readouterr()
     assert captured.out == f"MISMATCH: step 0 (ingest-squad) does not reproduce {pos}\n"
     assert captured.err == "1 outputs differ\n"
+
+
+def test_replay_outputs_sharing_a_file_name_are_regenerated_apart(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("r.tsv").write_text(UWRE_TSV.splitlines(keepends=True)[0], encoding="utf-8")
+    Path("a").mkdir()
+    Path("b").mkdir()
+    argv = ["ingest-uwre", "--in", "r.tsv", "--split", "dev", "--out", "a/x.tsv", "--templates-out", "b/x.tsv"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["replay", "--log", "a/x.tsv.prov.json"]) == 0
+    assert capsys.readouterr().out == (
+        "ok: step 0 (ingest-uwre) reproduces a/x.tsv\n"
+        "ok: step 0 (ingest-uwre) reproduces b/x.tsv\n"
+    )
+
+
+def test_replay_output_the_step_does_not_write_again_is_a_mismatch(tmp_path, capsys):
+    base, augment = tmp_path / "base.jsonl", tmp_path / "augment.jsonl"
+    _jsonl(base, ["b0"])
+    _jsonl(augment, [f"a{i}" for i in range(10)])
+    assert main(_mix_args(tmp_path, base, augment, [5])) == 0
+    out, renamed = tmp_path / "out" / "b+a@5.jsonl", tmp_path / "out" / "renamed.jsonl"
+    out.rename(renamed)
+    sidecar_path(out).rename(sidecar_path(renamed))
+    meta = json.loads(sidecar_path(renamed).read_text(encoding="utf-8"))
+    meta["provenance_log"][-1]["parameters"]["out"] = str(renamed)
+    sidecar_path(renamed).write_text(json.dumps(meta), encoding="utf-8")
+    capsys.readouterr()
+    # mix writes b+a@5.jsonl again, never renamed.jsonl
+    assert main(["replay", "--log", str(sidecar_path(renamed))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"MISMATCH: step 0 (mix) does not reproduce {renamed}\n"
+    assert captured.err == "1 outputs differ\n"
+
+
+def test_replay_of_an_all_taking_mix_draws_no_permutation(tmp_path, capsys, monkeypatch):
+    from slotqa import mixer
+
+    def forbidden(population, seed):
+        raise AssertionError("a mix whose sizes take every augment line drew a permutation")
+
+    monkeypatch.setattr(mixer, "_ranks", forbidden)
+    base, augment = tmp_path / "base.jsonl", tmp_path / "augment.jsonl"
+    _jsonl(base, ["b0"])
+    _jsonl(augment, ["a0", "a1", "a2"])
+    assert main(_mix_args(tmp_path, base, augment, [3])) == 0
+    out = tmp_path / "out" / "b+a@3.jsonl"
+    capsys.readouterr()
+    assert main(["replay", "--log", str(sidecar_path(out))]) == 0
+    assert capsys.readouterr().out == f"ok: step 0 (mix) reproduces {out}\n"
 
 
 def test_replay_entry_missing_an_input_key_is_a_parse_error(tmp_path, squad_file):

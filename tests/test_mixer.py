@@ -271,6 +271,43 @@ def test_mix_files_propagates_token_sidecar(tmp_path):
     assert loaded.no_answer_token == base.no_answer_token
 
 
+# --- the permutation is drawn only when some size samples ---
+
+
+def _no_ranks(population, seed):
+    raise AssertionError("a mix whose sizes take every augment line drew a permutation")
+
+
+@pytest.mark.parametrize(
+    "population, sizes", [(6, (6,)), (6, (6, 9)), (6, (7, 100)), (0, (1,)), (0, (1, 4))]
+)
+def test_mix_files_taking_every_line_draws_no_permutation(tmp_path, monkeypatch, population, sizes):
+    monkeypatch.setattr(mixer, "_ranks", _no_ranks)
+    base, augment = numbered(3, "b"), numbered(population, "a")
+    got = mixed(tmp_path, spec_for(sizes, seed=5), base, augment)
+    for (out, report), k in zip(got, sizes):
+        sample = tuple(augment.instances[i] for i in oracle_sample(population, k, 5))
+        assert sample == augment.instances
+        assert out.instances == base.instances + sample
+        assert report.output_count == 3 + population
+
+
+def test_mix_files_draws_the_permutation_once_when_a_size_samples(tmp_path, monkeypatch):
+    calls, ranks = [], mixer._ranks
+
+    def counted(population, seed):
+        calls.append((population, seed))
+        return ranks(population, seed)
+
+    monkeypatch.setattr(mixer, "_ranks", counted)
+    base, augment = numbered(2, "b"), numbered(10, "a")
+    sizes = (3, 10, 20)
+    got = mixed(tmp_path, spec_for(sizes, seed=4), base, augment)
+    assert calls == [(10, 4)]
+    for (out, _), k in zip(got, sizes):
+        assert out.instances == base.instances + tuple(augment.instances[i] for i in oracle_sample(10, k, 4))
+
+
 # --- the one-pass streaming mix: parallel id scan and single copy pass ---
 
 LINE = '{"id":"%s","question":"q","context":"c","answers":[],"relation":null,"subject_entity":null,"origin":"synthetic","split":"train"}'
