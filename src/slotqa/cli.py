@@ -10,11 +10,11 @@ Exit codes: 0 success, 1 validation or data failure, 2 usage error
 (unknown flags, missing or unreadable files, schema failures).
 
 Each operation is declared once, by ``@operation`` on its runner: its name,
-its help text and its flags in ``--help`` order. A :class:`Flag` holds one
-option's argparse settings and, when provenance records the value, its key,
-the type ``replay`` requires of it and whether it names an input or output
-file. ``build_parser``, the CLI's keys in each provenance entry, and
-``replay``'s checks and re-execution are all derived from these.
+its help text and its flags (:class:`Flag`) in ``--help`` order. The parser,
+the files ``main`` checks, each provenance entry's keys and ``replay`` derive
+from them by one rule: a flag's ``role`` gives the direction of a file it
+names, and its ``key`` says whether provenance records it. The CLI records
+the flags that have both; each runner records its other keyed flags.
 
 A runner takes the parsed arguments (on replay, the recorded values under
 the same names) and returns the line to print, or the exit code once it has
@@ -62,18 +62,17 @@ _IS_TYPE = {
 class Flag:
     """One option of an operation; with ``name`` None, a value recorded without one.
 
-    ``options`` are the argparse settings. ``key`` is where provenance records
-    the value: ``"seed"`` is the entry's own seed, any other key a parameter.
-    ``kind`` is the type replay requires of it. ``role`` marks a file the
+    ``options`` are the argparse settings. ``role`` marks every file the
     operation reads ("in") or writes ("out"), a path unless ``kind`` says
-    otherwise. The CLI records ``role`` and ``cli`` flags, in
-    flag order, after the keys that the layer records itself.
+    otherwise. ``key`` is where provenance records the value: ``"seed"`` is
+    the entry's own seed, any other key a parameter, and ``kind`` the type
+    replay requires of it. The CLI records the flags with a role and a key, in
+    flag order, after the layer's own keys; the runner records its other keys.
     """
 
-    def __init__(self, name, key=None, kind=None, role=None, cli=False, **options):
+    def __init__(self, name, key=None, kind=None, role=None, **options):
         self.name, self.key, self.role, self.options = name, key, role, options
         self.kind = kind or ("a path" if role else None)
-        self.cli = cli or role is not None
         self.dest = options.get("dest", (name or key).lstrip("-").replace("-", "_"))
 
 
@@ -95,9 +94,12 @@ class Operation:
 OPERATIONS: dict[str, Operation] = {}
 
 
-def _cli_keys(args) -> dict:
-    """The values the CLI records for the running operation, in flag order."""
-    return {flag.key: getattr(args, flag.dest) for flag in args.op.flags if flag.cli}
+def _record(args, dataset, **options) -> Dataset:
+    """``dataset`` with the running operation's files, then ``options``, added to its newest entry."""
+    files = {flag.key: getattr(args, flag.dest) for flag in args.op.recorded if flag.role}
+    *log, entry = dataset.provenance_log
+    entry = {**entry, "parameters": {**entry["parameters"], **files, **options}}
+    return replace(dataset, provenance_log=(*log, entry))
 
 
 def _save(args, dataset, report=None, what="instances", **extra) -> str:
@@ -105,18 +107,15 @@ def _save(args, dataset, report=None, what="instances", **extra) -> str:
 
     Returns the start of the runner's message.
     """
-    *log, entry = dataset.provenance_log
-    entry = {**entry, "parameters": {**entry["parameters"], **_cli_keys(args), **extra}}
-    write_dataset(replace(dataset, provenance_log=(*log, entry)), args.out)
+    write_dataset(_record(args, dataset, **extra), args.out)
     if report is not None and args.report:
         write_json(report.to_dict(), args.report)
     return f"wrote {len(dataset)} {what} to {args.out}"
 
 
-def _plain_sidecar(args, **recorded) -> Dataset:
+def _plain_sidecar(args, **options) -> Dataset:
     """The sidecar of an output that is not a dataset: one entry, recorded by the CLI."""
-    entry = {"operation": args.op.name, "parameters": {**_cli_keys(args), **recorded}, "seed": None}
-    return Dataset(name=Path(args.out).stem, provenance_log=(entry,))
+    return _record(args, Dataset(name=Path(args.out).stem).derive((), args.op.name, {}), **options)
 
 
 def _load(path, no_answer_token=None) -> Dataset:
@@ -135,15 +134,15 @@ _IN = Flag("--in", "in", role="in", dest="in_path", required=True, metavar="FILE
 _OUT = Flag("--out", "out", role="out", required=True, metavar="FILE")
 _SPLIT = Flag("--split", "split", "a string", required=True, choices=["train", "dev", "test"])
 _SEED = Flag("--seed", "seed", "an integer", required=True, type=int)
-_REPORT = Flag("--report", metavar="FILE")
+_REPORT = Flag("--report", role="out", metavar="FILE")
 _DATASET = Flag("--dataset", "dataset", role="in", required=True, metavar="FILE")
 _PREDS = Flag("--preds", "preds", role="in", required=True, metavar="FILE")
-_NOANSWER_TOKEN = Flag("--noanswer-token", "noanswer_token", "a string or null", cli=True,
+_NOANSWER_TOKEN = Flag("--noanswer-token", "noanswer_token", "a string or null",
                        help="map this predicted token to a no-answer")
 
 
 @Operation("ingest-squad", "convert SQuAD v1.1 JSON to canonical JSONL",
-           _IN, _SPLIT, _OUT, Flag("--report", metavar="FILE", help="write the ingest report as JSON"))
+           _IN, _SPLIT, _OUT, Flag("--report", role="out", metavar="FILE", help="write the ingest report as JSON"))
 def _ingest_squad(args) -> str:
     from .ingest import ingest_squad
 
@@ -242,7 +241,7 @@ def _build_uwre_plus(args) -> str:
 
 
 @Operation("mix", "concatenate a base with nested samples of an augment",
-           Flag("--config", required=True, metavar="FILE", help="MixSpec JSON"),
+           Flag("--config", role="in", required=True, metavar="FILE", help="MixSpec JSON"),
            Flag("--base", "base_path", role="in", required=True, metavar="FILE"),
            Flag("--augment", "augment_path", role="in", required=True, metavar="FILE"),
            Flag("--out-dir", required=True, metavar="DIR"),
@@ -274,7 +273,7 @@ def _predict_baseline(args) -> str:
     from .baseline import BaselineConfig, predict_dataset
 
     # the flags that were given; BaselineConfig supplies the defaults of the rest
-    given = {flag.key: getattr(args, flag.dest) for flag in args.op.recorded if not flag.cli}
+    given = {flag.key: getattr(args, flag.dest) for flag in args.op.recorded if not flag.role}
     config = BaselineConfig(**{key: value for key, value in given.items() if value is not None})
     predictions = predict_dataset(_load(args.in_path), config)
     write_predictions(predictions, args.out, _plain_sidecar(args, **config.to_dict()))
@@ -288,7 +287,7 @@ def _predict_baseline(args) -> str:
 @Operation("score", "slot-filling precision/recall/F1",
            _DATASET, _PREDS,
            Flag("--out", "out", role="out", metavar="FILE", help="write the report as JSON"),
-           Flag("--match", "match", "a string", cli=True, choices=["exact", "overlap"], default="exact"),
+           Flag("--match", "match", "a string", choices=["exact", "overlap"], default="exact"),
            _NOANSWER_TOKEN,
            Flag("--tsv", action="store_true", help="print one tab-separated line"))
 def _score(args) -> str:
@@ -301,7 +300,8 @@ def _score(args) -> str:
     else:
         report = metrics.score_slot_filling(dataset, predictions, match=args.match)
     if args.out:
-        write_json(report.to_dict(), args.out, _plain_sidecar(args))
+        options = {flag.key: getattr(args, flag.dest) for flag in args.op.recorded if not flag.role}
+        write_json(report.to_dict(), args.out, _plain_sidecar(args, **options))
     return report.to_tsv() if args.tsv else json.dumps(report.to_dict(), indent=2, ensure_ascii=False)
 
 
@@ -311,7 +311,7 @@ Operation("score-challenge", "no-answer accuracy on an all-negative set",
 
 
 @Operation("validate", "check every dataset invariant",
-           Flag("--in", dest="in_path", required=True, metavar="FILE"))
+           Flag("--in", role="in", dest="in_path", required=True, metavar="FILE"))
 def _validate(args) -> str | int:
     dataset = load_dataset(args.in_path)
     violations = validate_dataset(dataset)
@@ -324,7 +324,7 @@ def _validate(args) -> str | int:
 
 
 @Operation("replay", "re-execute a provenance log and verify outputs",
-           Flag("--log", required=True, metavar="FILE", help="a .prov.json sidecar"))
+           Flag("--log", role="in", required=True, metavar="FILE", help="a .prov.json sidecar"))
 def _replay(args) -> int:
     import filecmp
     import tempfile
@@ -360,20 +360,16 @@ def _replay(args) -> int:
                     raise ParseError(f"{where}: '{prefix}{flag.key}' must be {flag.kind}")
                 if flag.role == "out" and value:  # written again in a directory of its own: names may repeat
                     candidate = workdir / flag.dest / Path(value).name
+                    candidate.parent.mkdir(parents=True)
                     outputs.append((Path(value), candidate))
                     values[flag.dest] = str(candidate)
             for flag in op.recorded:
                 if flag.role == "in" and not Path(values[flag.dest]).exists():
-                    print(f"missing input for step {i} ({name}): {flag.key}={values[flag.dest]!r}",
-                          file=sys.stderr)
-                    return 2
-            for _, candidate in outputs:
-                candidate.parent.mkdir(parents=True)
+                    raise ParseError(f"{where}: missing input {flag.key}={values[flag.dest]!r}")
             op.run(argparse.Namespace(op=op, **values))
             for recorded, candidate in outputs:
                 if not recorded.exists():
-                    print(f"missing recorded output for step {i} ({name}): {recorded}", file=sys.stderr)
-                    return 2
+                    raise ParseError(f"{where}: missing recorded output {recorded}")
                 # a mismatch: an output not written again, or anything but two regular files of the same bytes
                 if candidate.exists() and filecmp.cmp(recorded, candidate, shallow=False):
                     print(f"ok: step {i} ({name}) reproduces {recorded}")
@@ -405,8 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         named = [flag for flag in args.op.flags if flag.name]
-        # a report is an output that provenance does not record
-        outputs = [getattr(args, f.dest) for f in named if f.role == "out" or f.dest == "report"]
+        outputs = [getattr(args, f.dest) for f in named if f.role == "out"]
         refuse_overwrite(outputs, [getattr(args, f.dest) for f in named if f.role == "in"])
         result = args.op.run(args)
         if isinstance(result, int):

@@ -46,7 +46,9 @@ def _expect_list(obj: Any, key: str, path: str) -> list:
     return value
 
 
-def _expect_str(obj: dict, key: str, path: str) -> str:
+def _expect_str(obj: Any, key: str, path: str) -> str:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected a JSON object")
     if key not in obj:
         raise ParseError(f"{path}: missing key {key!r}")
     value = obj[key]
@@ -69,13 +71,9 @@ def ingest_squad(document: Any, split: str) -> tuple[Dataset, TransformReport]:
         paragraphs = _expect_list(article, "paragraphs", f"$.data[{d_i}]")
         for p_i, paragraph in enumerate(paragraphs):
             path = f"$.data[{d_i}].paragraphs[{p_i}]"
-            if not isinstance(paragraph, dict):
-                raise ParseError(f"{path}: expected a JSON object")
             context = _expect_str(paragraph, "context", path)
             for q_i, qa in enumerate(_expect_list(paragraph, "qas", path)):
                 qa_path = f"{path}.qas[{q_i}]"
-                if not isinstance(qa, dict):
-                    raise ParseError(f"{qa_path}: expected a JSON object")
                 qa_id = _expect_str(qa, "id", qa_path)
                 question = _expect_str(qa, "question", qa_path)
                 answers_raw = _expect_list(qa, "answers", qa_path)
@@ -85,8 +83,6 @@ def ingest_squad(document: Any, split: str) -> tuple[Dataset, TransformReport]:
                 bad = None
                 for a_i, answer in enumerate(answers_raw):
                     a_path = f"{qa_path}.answers[{a_i}]"
-                    if not isinstance(answer, dict):
-                        raise ParseError(f"{a_path}: expected a JSON object")
                     text = _expect_str(answer, "text", a_path)
                     if "answer_start" not in answer:
                         raise ParseError(f"{a_path}: missing key 'answer_start'")

@@ -231,8 +231,8 @@ def _scan_pool(workers: int):
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
-def _scan_inputs(base_path: Path, augment_path: Path) -> tuple[set[str], int, list[str]]:
-    """Base ids, augment line count and colliding ids, scanned in parallel if large.
+def _scan_inputs(base_path: Path, augment_path: Path) -> tuple[int, int, list[str]]:
+    """Base and augment line counts and colliding ids, scanned in parallel if large.
 
     A pool that cannot start, or whose workers die, falls back to the serial
     scan, which finds the same ids and raises the same errors.
@@ -243,9 +243,9 @@ def _scan_inputs(base_path: Path, augment_path: Path) -> tuple[set[str], int, li
         for path in (base_path, augment_path)
     )
 
-    def scan(pool) -> tuple[set[str], int, list[str]]:
-        base_ids = set(_scan(base_path, None, base_parts, pool)[1])
-        return (base_ids, *_scan(augment_path, base_ids, augment_parts, pool))
+    def scan(pool) -> tuple[int, int, list[str]]:
+        base_count, base_ids = _scan(base_path, None, base_parts, pool)
+        return (base_count, *_scan(augment_path, set(base_ids), augment_parts, pool))
 
     workers = max(base_parts, augment_parts)
     if workers > 1:
@@ -298,7 +298,7 @@ def mix_files(
             f"{base_token!r} vs {augment_token!r}"
         )
 
-    base_ids, population, colliding = _scan_inputs(base_path, augment_path)
+    base_count, population, colliding = _scan_inputs(base_path, augment_path)
     if colliding:
         colliding = sorted(set(colliding))
         raise DataError(
@@ -329,8 +329,8 @@ def mix_files(
             outs.append(stack.enter_context(atomic_output(out_path, binary=True, sidecar=meta)))
             report = TransformReport(
                 operation="mix",
-                input_count=len(base_ids) + population,
-                output_count=len(base_ids) + taken,
+                input_count=base_count + population,
+                output_count=base_count + taken,
                 parameters=parameters,
             )
             results.append((name, out_path, report))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from slotqa import Prediction, load_dataset, read_predictions, write_predictions
+from slotqa import Prediction, ingest_uwre, load_dataset, read_predictions, write_dataset, write_predictions
 from slotqa import cli
 from slotqa.cli import main
 from slotqa.model import sidecar_path
@@ -221,6 +221,16 @@ def test_mix_cli_roundtrip(tmp_path, uwre_file):
     assert {i.id for i in small} <= {i.id for i in large}
     assert main(["validate", "--in", str(out_dir / "dev+train@2.jsonl")]) == 0
     assert main(["replay", "--log", str(sidecar_path(out_dir / "dev+train@2.jsonl"))]) == 0
+
+
+def test_mix_counts_every_line_of_a_base_that_repeats_an_id(tmp_path, capsys):
+    base, augment = tmp_path / "base.jsonl", tmp_path / "augment.jsonl"
+    _jsonl(base, ["b1", "b1", "b2"])
+    _jsonl(augment, [f"a{i}" for i in range(5)])
+    assert main(_mix_args(tmp_path, base, augment, [2, 10])) == 0
+    small, large = tmp_path / "out" / "b+a@2.jsonl", tmp_path / "out" / "b+a@10.jsonl"
+    assert capsys.readouterr().out == f"wrote 5 instances to {small}\nwrote 8 instances to {large}\n"
+    assert [len(out.read_bytes().splitlines()) for out in (small, large)] == [5, 8]
 
 
 def _mix_args(tmp_path, base, augment, sizes):
@@ -548,6 +558,46 @@ def test_replay_missing_input_is_usage_error(tmp_path, squad_file):
     main(["ingest-squad", "--in", str(squad_file), "--split", "train", "--out", str(pos)])
     squad_file.unlink()
     assert main(["replay", "--log", str(sidecar_path(pos))]) == 2
+
+
+def _replay(log, capsys):
+    capsys.readouterr()
+    code = main(["replay", "--log", str(log)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_every_way_replay_stops(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("r.tsv").write_text(UWRE_TSV, encoding="utf-8")
+    argv = ["ingest-uwre", "--in", "r.tsv", "--split", "dev", "--out", "a.jsonl"]
+    assert main([*argv, "--templates-out", "t.tsv", "--report", "report.json"]) == 0
+
+    Path("t.tsv").unlink()
+    assert _replay("a.jsonl.prov.json", capsys) == (
+        2,
+        "ok: step 0 (ingest-uwre) reproduces a.jsonl\n",
+        "error: a.jsonl.prov.json: step 0 (ingest-uwre): missing recorded output t.tsv\n",
+    )
+    Path("r.tsv").unlink()
+    assert _replay("a.jsonl.prov.json", capsys) == (
+        2, "", "error: a.jsonl.prov.json: step 0 (ingest-uwre): missing input in='r.tsv'\n"
+    )
+    # a JSON object, but no sidecar
+    assert _replay("report.json", capsys) == (
+        2, "", "error: report.json: expected a sidecar object with a provenance_log\n"
+    )
+    entry = {"operation": "negativize", "parameters": ["in", "a.jsonl"], "seed": None}
+    Path("log.prov.json").write_text(json.dumps({"provenance_log": [entry]}), encoding="utf-8")
+    assert _replay("log.prov.json", capsys) == (
+        2, "", "error: log.prov.json: step 0 (negativize): parameters must be an object\n"
+    )
+    # the library records what a step did, but not where the CLI would have written it
+    dataset, _, _ = ingest_uwre(UWRE_TSV.splitlines(), "dev")
+    write_dataset(dataset, "lib.jsonl")
+    assert _replay("lib.jsonl.prov.json", capsys) == (
+        0, "skip: step 0 (ingest-uwre) records no output path\n", ""
+    )
 
 
 def test_replay_compares_outputs_of_any_size(tmp_path, squad_file, capsys):
@@ -1010,6 +1060,37 @@ def test_validate_reports_violations(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "x1" in out
     assert "span_matches_context" in out
+
+
+def test_sidecars_of_outputs_that_are_not_datasets_record_paths_then_options(
+    tmp_path, uwre_file, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    chain = [
+        ["ingest-uwre", "--in", uwre_file, "--split", "dev", "--out", "u.jsonl", "--templates-out", "t.tsv"],
+        ["build-challenge", "--in", "u.jsonl", "--templates", "t.tsv", "--seed", "3", "--out", "c.jsonl"],
+        ["predict-baseline", "--in", "u.jsonl", "--out", "p.jsonl", "--threshold", "0.5"],
+        ["score", "--dataset", "u.jsonl", "--preds", "p.jsonl", "--out", "s.json",
+         "--match", "overlap", "--noanswer-token", "NA"],
+        ["predict-baseline", "--in", "c.jsonl", "--out", "cp.jsonl"],
+        ["score-challenge", "--dataset", "c.jsonl", "--preds", "cp.jsonl", "--out", "cs.json"],
+    ]
+    for argv in chain:
+        assert main([str(arg) for arg in argv]) == 0
+    baseline = {"max_span_tokens": 8, "no_answer_threshold": 1.0, "idf_source": "self_corpus"}
+    recorded = {
+        "p.jsonl": ("predict-baseline", {"in": "u.jsonl", "out": "p.jsonl", **baseline,
+                                         "no_answer_threshold": 0.5}),
+        "s.json": ("score", {"dataset": "u.jsonl", "preds": "p.jsonl", "out": "s.json",
+                             "match": "overlap", "noanswer_token": "NA"}),
+        "cp.jsonl": ("predict-baseline", {"in": "c.jsonl", "out": "cp.jsonl", **baseline}),
+        "cs.json": ("score-challenge", {"dataset": "c.jsonl", "preds": "cp.jsonl", "out": "cs.json",
+                                        "noanswer_token": None}),
+    }
+    for out, (operation, parameters) in recorded.items():
+        entry = {"operation": operation, "parameters": parameters, "seed": None}
+        meta = {"name": Path(out).stem, "no_answer_token": None, "provenance_log": [entry]}
+        assert sidecar_path(out).read_text(encoding="utf-8") == json.dumps(meta, indent=2) + "\n"
 
 
 def test_console_entry_point_usage_errors():

@@ -109,6 +109,54 @@ def test_ingest_squad_schema_errors_carry_paths():
     assert "answers[0]" in str(exc.value)
 
 
+PARAGRAPH = ("data", 0, "paragraphs", 0)
+QA = (*PARAGRAPH, "qas", 0)
+ANSWER = (*QA, "answers", 0)
+DELETED = object()
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        ((), [], "$: expected a JSON object"),
+        (("data",), DELETED, "$: missing key 'data'"),
+        (("data",), {}, "$.data: expected an array"),
+        (("data", 0), 1, "$.data[0]: expected a JSON object"),
+        (("data", 0, "paragraphs"), DELETED, "$.data[0]: missing key 'paragraphs'"),
+        (PARAGRAPH, "text", "$.data[0].paragraphs[0]: expected a JSON object"),
+        ((*PARAGRAPH, "context"), DELETED, "$.data[0].paragraphs[0]: missing key 'context'"),
+        ((*PARAGRAPH, "context"), 5, "$.data[0].paragraphs[0].context: expected a string"),
+        ((*PARAGRAPH, "qas"), None, "$.data[0].paragraphs[0].qas: expected an array"),
+        (QA, None, "$.data[0].paragraphs[0].qas[0]: expected a JSON object"),
+        ((*QA, "id"), DELETED, "$.data[0].paragraphs[0].qas[0]: missing key 'id'"),
+        ((*QA, "question"), ["q"], "$.data[0].paragraphs[0].qas[0].question: expected a string"),
+        ((*QA, "answers"), DELETED, "$.data[0].paragraphs[0].qas[0]: missing key 'answers'"),
+        (ANSWER, "Honolulu", "$.data[0].paragraphs[0].qas[0].answers[0]: expected a JSON object"),
+        ((*ANSWER, "text"), DELETED, "$.data[0].paragraphs[0].qas[0].answers[0]: missing key 'text'"),
+        ((*ANSWER, "answer_start"), DELETED,
+         "$.data[0].paragraphs[0].qas[0].answers[0]: missing key 'answer_start'"),
+        ((*ANSWER, "answer_start"), True,
+         "$.data[0].paragraphs[0].qas[0].answers[0].answer_start: expected an integer"),
+    ],
+)
+def test_ingest_squad_structure_errors_name_the_value_at_fault(where, value, message):
+    doc = squad_doc()
+    if not where:
+        doc = value
+    else:
+        *parents, last = where
+        parent = doc
+        for key in parents:
+            parent = parent[key]
+        if value is DELETED:
+            del parent[last]
+        else:
+            parent[last] = value
+    with pytest.raises(ParseError) as exc:
+        ingest_squad(doc, "train")
+    assert str(exc.value) == message
+
+
 def test_ingest_squad_rejects_bad_split():
     with pytest.raises(ParseError):
         ingest_squad(squad_doc(), "validation")
