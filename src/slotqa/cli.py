@@ -32,11 +32,12 @@ from pathlib import Path
 
 from .model import (
     DEFAULT_NO_ANSWER_TOKEN,
+    SPLITS,
     DataError,
     Dataset,
     ParseError,
     load_dataset,
-    provenance_entries,
+    parse_sidecar,
     read_json,
     read_lines,
     read_predictions,
@@ -132,7 +133,7 @@ def _load(path, no_answer_token=None) -> Dataset:
 
 _IN = Flag("--in", "in", role="in", dest="in_path", required=True, metavar="FILE")
 _OUT = Flag("--out", "out", role="out", required=True, metavar="FILE")
-_SPLIT = Flag("--split", "split", "a string", required=True, choices=["train", "dev", "test"])
+_SPLIT = Flag("--split", "split", "a string", required=True, choices=SPLITS)
 _SEED = Flag("--seed", "seed", "an integer", required=True, type=int)
 _REPORT = Flag("--report", role="out", metavar="FILE")
 _DATASET = Flag("--dataset", "dataset", role="in", required=True, metavar="FILE")
@@ -259,7 +260,7 @@ def _mix(args) -> str:
         out_dir = Path(args.out).parent
     else:
         spec, out_dir = MixSpec.from_json_file(args.config), args.out_dir
-    results = mix_files(spec, args.base, args.augment, out_dir)
+    results = mix_files(spec, args.base, args.augment, out_dir, args.config)
     return "\n".join(f"wrote {report.output_count} instances to {path}" for _, path, report in results)
 
 
@@ -329,12 +330,12 @@ def _replay(args) -> int:
     import filecmp
     import tempfile
 
-    meta = read_json(args.log)
-    if not isinstance(meta, dict) or "provenance_log" not in meta:
+    log = parse_sidecar(args.log).provenance_log
+    if not log:
         raise ParseError(f"{args.log}: expected a sidecar object with a provenance_log")
     mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for i, entry in enumerate(provenance_entries(meta, args.log)):
+        for i, entry in enumerate(log):
             name = entry.get("operation")
             op = OPERATIONS.get(name) if isinstance(name, str) else None
             if op is None or not op.recorded:
@@ -358,6 +359,9 @@ def _replay(args) -> int:
                 value = values[flag.dest] = record.get(flag.key)
                 if not _IS_TYPE[flag.kind](value):
                     raise ParseError(f"{where}: '{prefix}{flag.key}' must be {flag.kind}")
+                choices = flag.options.get("choices")
+                if choices and value not in choices:
+                    raise ParseError(f"{where}: '{prefix}{flag.key}' must be one of {list(choices)}")
                 if flag.role == "out" and value:  # written again in a directory of its own: names may repeat
                     candidate = workdir / flag.dest / Path(value).name
                     candidate.parent.mkdir(parents=True)
@@ -366,10 +370,11 @@ def _replay(args) -> int:
             for flag in op.recorded:
                 if flag.role == "in" and not Path(values[flag.dest]).exists():
                     raise ParseError(f"{where}: missing input {flag.key}={values[flag.dest]!r}")
-            op.run(argparse.Namespace(op=op, **values))
-            for recorded, candidate in outputs:
+            for recorded, _ in outputs:
                 if not recorded.exists():
                     raise ParseError(f"{where}: missing recorded output {recorded}")
+            op.run(argparse.Namespace(op=op, **values))
+            for recorded, candidate in outputs:
                 # a mismatch: an output not written again, or anything but two regular files of the same bytes
                 if candidate.exists() and filecmp.cmp(recorded, candidate, shallow=False):
                     print(f"ok: step {i} ({name}) reproduces {recorded}")

@@ -35,25 +35,18 @@ def _check_split(split: str) -> None:
         raise ParseError(f"unknown split {split!r}, expected one of {list(SPLITS)}")
 
 
-def _expect_list(obj: Any, key: str, path: str) -> list:
+_KIND_NAMES = {list: "an array", str: "a string", int: "an integer"}
+
+
+def _expect(obj: Any, key: str, path: str, kind: type) -> Any:
+    """``obj[key]``, which must be of ``kind``; JSON true and false are not integers."""
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object")
     if key not in obj:
         raise ParseError(f"{path}: missing key {key!r}")
     value = obj[key]
-    if not isinstance(value, list):
-        raise ParseError(f"{path}.{key}: expected an array")
-    return value
-
-
-def _expect_str(obj: Any, key: str, path: str) -> str:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    if key not in obj:
-        raise ParseError(f"{path}: missing key {key!r}")
-    value = obj[key]
-    if not isinstance(value, str):
-        raise ParseError(f"{path}.{key}: expected a string")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ParseError(f"{path}.{key}: expected {_KIND_NAMES[kind]}")
     return value
 
 
@@ -67,28 +60,24 @@ def ingest_squad(document: Any, split: str) -> tuple[Dataset, TransformReport]:
     _check_split(split)
     report = TransformReport(operation="ingest-squad", parameters={"split": split})
     instances: list[Instance] = []
-    for d_i, article in enumerate(_expect_list(document, "data", "$")):
-        paragraphs = _expect_list(article, "paragraphs", f"$.data[{d_i}]")
+    for d_i, article in enumerate(_expect(document, "data", "$", list)):
+        paragraphs = _expect(article, "paragraphs", f"$.data[{d_i}]", list)
         for p_i, paragraph in enumerate(paragraphs):
             path = f"$.data[{d_i}].paragraphs[{p_i}]"
-            context = _expect_str(paragraph, "context", path)
-            for q_i, qa in enumerate(_expect_list(paragraph, "qas", path)):
+            context = _expect(paragraph, "context", path, str)
+            for q_i, qa in enumerate(_expect(paragraph, "qas", path, list)):
                 qa_path = f"{path}.qas[{q_i}]"
-                qa_id = _expect_str(qa, "id", qa_path)
-                question = _expect_str(qa, "question", qa_path)
-                answers_raw = _expect_list(qa, "answers", qa_path)
+                qa_id = _expect(qa, "id", qa_path, str)
+                question = _expect(qa, "question", qa_path, str)
+                answers_raw = _expect(qa, "answers", qa_path, list)
                 report.input_count += 1
                 spans: list[Span] = []
                 seen: set[tuple[int, str]] = set()
                 bad = None
                 for a_i, answer in enumerate(answers_raw):
                     a_path = f"{qa_path}.answers[{a_i}]"
-                    text = _expect_str(answer, "text", a_path)
-                    if "answer_start" not in answer:
-                        raise ParseError(f"{a_path}: missing key 'answer_start'")
-                    start = answer["answer_start"]
-                    if isinstance(start, bool) or not isinstance(start, int):
-                        raise ParseError(f"{a_path}.answer_start: expected an integer")
+                    text = _expect(answer, "text", a_path, str)
+                    start = _expect(answer, "answer_start", a_path, int)
                     if (start, text) in seen:
                         continue
                     seen.add((start, text))

@@ -112,10 +112,11 @@ def _token_overlap_credit(prediction: str, golds: Sequence[str]) -> float:
 class _Tally:
     """Running counts over a group of instances; see ``_COUNT_KEYS``."""
 
-    __slots__ = ("positives", "negatives", "answered", "correct", "no_answer", "missing")
+    __slots__ = _COUNT_KEYS
 
     def __init__(self) -> None:
-        self.positives = self.negatives = self.answered = self.no_answer = self.missing = 0
+        self.positives = self.negatives = self.answered = self.no_answer_predictions = 0
+        self.missing = 0
         self.correct = 0.0
 
     def add(self, positive: bool, answered: bool, credit: float, missing: bool) -> None:
@@ -127,19 +128,15 @@ class _Tally:
             self.answered += 1
             self.correct += credit
         else:
-            self.no_answer += 1
+            self.no_answer_predictions += 1
         if missing:
             self.missing += 1
 
     def counts(self, match: str) -> dict:
-        return {
-            "positives": self.positives,
-            "negatives": self.negatives,
-            "answered": self.answered,
-            "correct": int(self.correct) if match == "exact" else self.correct,
-            "no_answer_predictions": self.no_answer,
-            "missing": self.missing,
-        }
+        counts = {key: getattr(self, key) for key in _COUNT_KEYS}
+        if match == "exact":
+            counts["correct"] = int(self.correct)
+        return counts
 
     def report(self, match: str) -> EvalReport:
         precision = self.correct / self.answered if self.answered else 0.0
@@ -231,4 +228,4 @@ def score_challenge_accuracy(
         raise DataError(
             f"challenge accuracy needs an all-negative dataset; {first.id!r} has answers"
         )
-    return EvalReport(accuracy=tally.no_answer / len(dataset), counts=tally.counts("exact"))
+    return EvalReport(accuracy=tally.no_answer_predictions / len(dataset), counts=tally.counts("exact"))

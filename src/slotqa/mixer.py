@@ -124,6 +124,7 @@ def _line_blocks(path: Path, start: int = 0, stop: int | None = None) -> Iterato
     Lines split as text mode's universal newlines split them (``\\n``,
     ``\\r\\n`` or a bare ``\\r``) and come without their terminators. A
     block is cut only at a line boundary, never inside a ``\\r\\n`` pair.
+    No list is empty: each splits a non-empty slice or a non-empty carry.
     """
     with open(path, "rb") as f:
         f.seek(start)
@@ -264,30 +265,32 @@ def mix_files(
     base_path: str | Path,
     augment_path: str | Path,
     out_dir: str | Path,
+    config: str | Path | None = None,
 ) -> list[tuple[str, Path, TransformReport]]:
     """Write ``{base}+{augment}@{k}.jsonl``, the base then the augment's sample, per size k.
 
     Each output's sidecar extends the base's provenance log by a ``mix``
-    entry. Lines are copied verbatim, so inputs must already be canonical
-    JSONL. Each input is read twice, whatever the number of sizes: once to
-    validate every line and count the augment, once to copy. Files of 8 MiB
-    or more are validated by worker processes, one per available CPU and per
-    4 MiB. The workers are forked: they share this process's pages instead
-    of starting an interpreter, and a calling script needs no
+    entry. No output may overwrite an input or ``config``, the file the spec
+    was read from. Lines are copied verbatim, so inputs must already be
+    canonical JSONL. Each input is read twice, whatever the number of sizes:
+    once to validate every line and count the augment, once to copy. Files
+    of 8 MiB or more are validated by worker processes, one per available
+    CPU and per 4 MiB. The workers are forked: they share this process's
+    pages instead of starting an interpreter, and a calling script needs no
     ``if __name__ == "__main__"`` guard. Off Linux, while other threads are
     alive, in a daemonic process, or if no pool can be used, the scan runs
     in this process. Memory stays bounded by the base ids and a rank table
-    of 4 bytes per augment line, never by instance objects; each scan
-    worker receives its own copy of the base ids. The rank table, and the
-    shuffle that draws it, is built only when some size is below the
-    augment's line count, so replaying an all-taking mix does no shuffle.
+    of 4 bytes per augment line, never by instance objects; each scan worker
+    receives its own copy of the base ids. The rank table, and the shuffle
+    that draws it, is built only when some size is below the augment's line
+    count, so replaying an all-taking mix does no shuffle.
     """
     spec.validate()
     base_path, augment_path = Path(base_path), Path(augment_path)
     out_dir = Path(out_dir)
     names = [f"{spec.base}+{spec.augment}@{k}" for k in spec.sizes]
     out_paths = [out_dir / f"{name}.jsonl" for name in names]
-    refuse_overwrite(out_paths, (base_path, augment_path))
+    refuse_overwrite(out_paths, (base_path, augment_path, config))
 
     base_meta = read_sidecar(base_path)
     base_token = base_meta.no_answer_token
@@ -335,10 +338,9 @@ def mix_files(
             )
             results.append((name, out_path, report))
         for lines in _line_blocks(base_path):
-            if lines:
-                data = b"\n".join(lines) + b"\n"
-                for out in outs:
-                    out.write(data)
+            data = b"\n".join(lines) + b"\n"
+            for out in outs:
+                out.write(data)
         first = 0
         for lines in _line_blocks(augment_path):
             ranks = rank[first : first + len(lines)] if rank is not None else ()

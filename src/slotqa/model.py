@@ -18,36 +18,18 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
-ORIGINS = (
-    "squad_positive",
-    "squad_negative",
-    "uwre_positive",
-    "uwre_negative",
-    "challenge_negative",
-    "synthetic",
-)
 NEGATIVE_ORIGINS = frozenset({"squad_negative", "uwre_negative", "challenge_negative"})
 POSITIVE_ORIGINS = frozenset({"squad_positive", "uwre_positive"})
+ORIGINS = POSITIVE_ORIGINS | NEGATIVE_ORIGINS | {"synthetic"}
 SPLITS = ("train", "dev", "test")
 
 # The dummy token that ``adapt-noanswer`` prefixes to every context.
 DEFAULT_NO_ANSWER_TOKEN = "NoAnswerFound"
 
-_INSTANCE_FIELDS = (
-    "id",
-    "question",
-    "context",
-    "answers",
-    "relation",
-    "subject_entity",
-    "origin",
-    "split",
-)
-_INSTANCE_FIELD_SET = frozenset(_INSTANCE_FIELDS)
 # checked in this order, so a record with several bad fields names the same one
 _STRING_FIELDS = ("id", "question", "context", "origin", "split")
 _SPAN_FIELD_SET = frozenset({"start", "text"})
@@ -94,7 +76,13 @@ class Instance:
     split: str = "train"
 
     def is_negative(self) -> bool:
+        """Whether ``answers`` is empty; False for a negative on a dataset adapted with a
+        no-answer token, since such a negative holds the sentinel span over the token."""
         return not self.answers
+
+
+_INSTANCE_FIELDS = tuple(f.name for f in fields(Instance))
+_INSTANCE_FIELD_SET = frozenset(_INSTANCE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -145,12 +133,8 @@ class Dataset:
     ) -> "Dataset":
         """A new Dataset with ``instances``, inheriting and extending provenance."""
         entry = {"operation": operation, "parameters": dict(parameters), "seed": seed}
-        fields: dict[str, Any] = {
-            "instances": tuple(instances),
-            "provenance_log": self.provenance_log + (entry,),
-        }
-        fields.update(overrides)
-        return replace(self, **fields)
+        return replace(self, instances=tuple(instances),
+                       provenance_log=self.provenance_log + (entry,), **overrides)
 
 
 @dataclass(frozen=True)
@@ -483,35 +467,31 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
     write_instances(dataset.instances, path, sidecar=dataset)
 
 
-def provenance_entries(meta: dict, where: str | Path) -> tuple[dict, ...]:
-    """A sidecar's ``provenance_log``, which must be a list of objects."""
-    log = meta.get("provenance_log", [])
-    if not isinstance(log, list) or not all(isinstance(entry, dict) for entry in log):
-        raise ParseError(f"{where}: provenance_log must be a list of objects")
-    return tuple(log)
+def parse_sidecar(side: str | Path, name: str = "") -> Dataset:
+    """The metadata a sidecar file holds, as a Dataset without instances.
 
-
-def read_sidecar(path: str | Path) -> Dataset:
-    """The metadata of the dataset at ``path``, as a Dataset without instances.
-
-    Without a sidecar the name is the file's stem, with no provenance and no
-    no-answer token. A sidecar that is not JSON, or holds a field of the
-    wrong type, is a ParseError naming the sidecar.
+    ``name`` stands in for a missing name. A file that is not a JSON object,
+    or holds a field of the wrong type, is a ParseError naming the file.
     """
-    side = sidecar_path(path)
-    name = Path(path).stem
-    if not side.exists():
-        return Dataset(name=name)
     meta = read_json(side)
     if not isinstance(meta, dict):
         raise ParseError(f"{side}: expected a JSON object")
     name = meta.get("name", name)
     token = meta.get("no_answer_token")
+    log = meta.get("provenance_log", [])
     if not isinstance(name, str):
         raise ParseError(f"{side}: name must be a string")
     if token is not None and not isinstance(token, str):
         raise ParseError(f"{side}: no_answer_token must be a string or null")
-    return Dataset(name=name, provenance_log=provenance_entries(meta, side), no_answer_token=token)
+    if not isinstance(log, list) or not all(isinstance(entry, dict) for entry in log):
+        raise ParseError(f"{side}: provenance_log must be a list of objects")
+    return Dataset(name=name, provenance_log=tuple(log), no_answer_token=token)
+
+
+def read_sidecar(path: str | Path) -> Dataset:
+    """The metadata of the dataset at ``path``; its name defaults to the file's stem."""
+    side, name = sidecar_path(path), Path(path).stem
+    return parse_sidecar(side, name) if side.exists() else Dataset(name=name)
 
 
 def load_dataset(path: str | Path) -> Dataset:

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from slotqa import Prediction, ingest_uwre, load_dataset, read_predictions, write_dataset, write_predictions
-from slotqa import cli
+from slotqa import Dataset, Instance, Span, cli
 from slotqa.cli import main
-from slotqa.model import sidecar_path
+from slotqa.model import ORIGINS, sidecar_path
 
 SQUAD_DOC = {
     "version": "1.1",
@@ -574,10 +574,9 @@ def test_every_way_replay_stops(tmp_path, capsys, monkeypatch):
     assert main([*argv, "--templates-out", "t.tsv", "--report", "report.json"]) == 0
 
     Path("t.tsv").unlink()
+    # stops before the step runs again, so nothing is compared
     assert _replay("a.jsonl.prov.json", capsys) == (
-        2,
-        "ok: step 0 (ingest-uwre) reproduces a.jsonl\n",
-        "error: a.jsonl.prov.json: step 0 (ingest-uwre): missing recorded output t.tsv\n",
+        2, "", "error: a.jsonl.prov.json: step 0 (ingest-uwre): missing recorded output t.tsv\n"
     )
     Path("r.tsv").unlink()
     assert _replay("a.jsonl.prov.json", capsys) == (
@@ -1036,6 +1035,91 @@ def test_sidecar_provenance_log_of_the_wrong_type_is_a_parse_error(tmp_path):
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert f"{sidecar_path(path)}: provenance_log must be a list of objects" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "output, operation, key, choices",
+    [
+        ("pos.jsonl", "ingest-squad", "split", ["train", "dev", "test"]),
+        ("preds.jsonl", "predict-baseline", "idf_source", ["self_corpus", "uniform"]),
+        ("report.json", "score", "match", ["exact", "overlap"]),
+    ],
+)
+def test_replay_recorded_value_outside_its_choices_is_a_parse_error(
+    tmp_path, squad_file, output, operation, key, choices
+):
+    pos, preds, report = tmp_path / "pos.jsonl", tmp_path / "preds.jsonl", tmp_path / "report.json"
+    assert main(["ingest-squad", "--in", str(squad_file), "--split", "train", "--out", str(pos)]) == 0
+    assert main(["predict-baseline", "--in", str(pos), "--out", str(preds)]) == 0
+    assert main(["score", "--dataset", str(pos), "--preds", str(preds), "--out", str(report)]) == 0
+    log = sidecar_path(tmp_path / output)
+    meta = json.loads(log.read_text(encoding="utf-8"))
+    assert meta["provenance_log"][0]["operation"] == operation
+    meta["provenance_log"][0]["parameters"][key] = "bogus"
+    log.write_text(json.dumps(meta), encoding="utf-8")
+    proc = _slotqa("replay", "--log", log)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: {log}: step 0 ({operation}): 'parameters.{key}' must be one of {choices}\n"
+    )
+
+
+_VALIDATE_STEP = {"operation": "validate", "parameters": {}, "seed": None}
+
+
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ({"name": "d", "provenance_log": []}, "expected a sidecar object with a provenance_log"),
+        ({"name": 5, "provenance_log": [_VALIDATE_STEP]}, "name must be a string"),
+        ({"no_answer_token": 5, "provenance_log": [_VALIDATE_STEP]},
+         "no_answer_token must be a string or null"),
+        ([_VALIDATE_STEP], "expected a JSON object"),
+    ],
+    ids=["no-steps", "name", "no_answer_token", "array"],
+)
+def test_replay_refuses_a_sidecar_that_loading_a_dataset_refuses_or_one_without_steps(
+    tmp_path, capsys, meta, message
+):
+    log = tmp_path / "d.jsonl.prov.json"
+    log.write_text(json.dumps(meta), encoding="utf-8")
+    assert _replay(log, capsys) == (2, "", f"error: {log}: {message}\n")
+
+
+@pytest.mark.parametrize("config_name", ["b+a@2.jsonl", "b+a@2.jsonl.prov.json"])
+def test_mix_refuses_to_overwrite_its_config(tmp_path, capsys, config_name):
+    base, augment, out_dir = tmp_path / "base.jsonl", tmp_path / "aug.jsonl", tmp_path / "out"
+    _jsonl(base, ["b0"])
+    _jsonl(augment, ["a0", "a1", "a2"])
+    out_dir.mkdir()
+    config = out_dir / config_name
+    text = json.dumps({"base": "b", "augment": "a", "seed": 1, "sizes": [2]})
+    config.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    argv = ["mix", "--config", str(config), "--base", str(base), "--augment", str(augment),
+            "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: output {config} would overwrite input {config}\n")
+    assert config.read_text(encoding="utf-8") == text
+    assert os.listdir(out_dir) == [config_name]
+
+
+def test_validate_accepts_every_origin_and_names_an_unknown_one(tmp_path, capsys):
+    context = "Obama was born in Honolulu."
+    answer = (Span(18, "Honolulu"),)
+    instances = [
+        Instance(f"i{k}", "Where?", context, answer if origin.endswith("_positive") else (),
+                 origin=origin)
+        for k, origin in enumerate(sorted(ORIGINS))
+    ]
+    data = tmp_path / "d.jsonl"
+    write_dataset(Dataset(tuple(instances)), data)
+    capsys.readouterr()
+    assert main(["validate", "--in", str(data)]) == 0
+    assert capsys.readouterr().out == "OK: 6 instances, no violations\n"
+    write_dataset(Dataset((*instances, Instance("x", "Where?", context, origin="mystery"))), data)
+    assert main(["validate", "--in", str(data)]) == 1
+    assert capsys.readouterr().out == "x\torigin_enum\tunknown origin 'mystery'\n"
 
 
 def test_validate_reports_violations(tmp_path, capsys):

@@ -591,13 +591,13 @@ def test_line_blocks_split_like_text_mode(pieces, block, parts):
         path.write_bytes("".join(pieces).encode("utf-8"))
         with open(path, "r", encoding="utf-8") as f:
             want = [line[:-1] if line.endswith("\n") else line for line in f]
-        got = [
-            line.decode("utf-8")
+        blocks = [
+            lines
             for start, stop in mixer._ranges(path, parts)
             for lines in mixer._line_blocks(path, start, stop)
-            for line in lines
         ]
-    assert got == want
+    assert all(blocks)
+    assert [line.decode("utf-8") for lines in blocks for line in lines] == want
 
 
 @pytest.mark.parametrize("aliased", ["base", "augment"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -97,6 +98,11 @@ def test_instance_dict_field_order_and_shape():
         "split",
     ]
     assert d["answers"] == [{"start": 28, "text": "Honolulu, Hawaii"}]
+
+
+def test_instance_dict_writes_the_dataclass_fields_in_order():
+    names = tuple(f.name for f in dataclasses.fields(Instance))
+    assert tuple(instance_to_dict(make_instance())) == names
 
 
 def test_instance_from_dict_rejects_unknown_and_missing_keys():
