@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 from typing import Mapping
 
-from .model import Dataset, DataError, Instance, Prediction
+from .model import IDF_SOURCES, Dataset, DataError, Instance, Prediction
 from .transforms import segment_sentences
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -103,7 +103,7 @@ class BaselineConfig:
             raise DataError(f"no_answer_threshold must be finite, got {self.no_answer_threshold}")
         if self.no_answer_threshold < 0:
             raise DataError(f"no_answer_threshold must be non-negative, got {self.no_answer_threshold}")
-        if self.idf_source not in ("self_corpus", "uniform"):
+        if self.idf_source not in IDF_SOURCES:
             raise DataError(f"unknown idf_source {self.idf_source!r}")
 
     def to_dict(self) -> dict:

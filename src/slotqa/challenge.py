@@ -57,10 +57,9 @@ def build_challenge_set(
 
     rng = random.Random(seed)
     out: list[Instance] = []
-    skipped = 0
-    report = TransformReport(operation="build-challenge", parameters={"seed": seed})
+    report = TransformReport(operation="build-challenge", input_count=len(positives),
+                             parameters={"seed": seed})
     for inst in positives:
-        report.input_count += 1
         own = inst.subject_entity.lower()
         context_lower = inst.context.lower()
         eligible = [
@@ -69,7 +68,7 @@ def build_challenge_set(
             if lowered != own and lowered not in context_lower
         ]
         if not eligible:
-            skipped += 1
+            report.skipped += 1
             report.note(f"{inst.id}: no eligible donor entity")
             continue
         donor = rng.choice(eligible)
@@ -88,13 +87,12 @@ def build_challenge_set(
                 split=inst.split,
             )
         )
-    report.skipped = skipped
     report.output_count = len(out)
-    report.extra = {"skipped_no_donor": skipped, "seed": seed}
+    report.extra = {"skipped_no_donor": report.skipped, "seed": seed}
     result = positives.derive(
         out,
-        "build-challenge",
-        {"skipped_no_donor": skipped},
+        report.operation,
+        {"skipped_no_donor": report.skipped},
         seed=seed,
         name=f"{positives.name}-challenge" if positives.name else "challenge",
     )
@@ -156,7 +154,7 @@ def build_uwre_plus(
     )
     result = split_dataset.derive(
         out,
-        "build-uwre-plus",
+        report.operation,
         {"removed": to_remove, "inserted": n_inserted},
         seed=seed,
         name=f"{split_dataset.name}-plus" if split_dataset.name else "uwre-plus",

@@ -14,7 +14,11 @@ its help text and its flags (:class:`Flag`) in ``--help`` order. The parser,
 the files ``main`` checks, each provenance entry's keys and ``replay`` derive
 from them by one rule: a flag's ``role`` gives the direction of a file it
 names, and its ``key`` says whether provenance records it. The CLI records
-the flags that have both; each runner records its other keyed flags.
+the flags that have both; each runner records its other keyed flags. The
+type ``replay`` requires of a recorded value follows from the same
+declaration: a path for a file, else the flag's argparse action or type
+(see :class:`Flag`). Only a value that may be null names its type, because
+``score --out`` is optional, yet replay must refuse a null recorded there.
 
 A runner takes the parsed arguments (on replay, the recorded values under
 the same names) and returns the line to print, or the exit code once it has
@@ -32,6 +36,8 @@ from pathlib import Path
 
 from .model import (
     DEFAULT_NO_ANSWER_TOKEN,
+    IDF_SOURCES,
+    MATCH_MODES,
     SPLITS,
     DataError,
     Dataset,
@@ -64,16 +70,23 @@ class Flag:
     """One option of an operation; with ``name`` None, a value recorded without one.
 
     ``options`` are the argparse settings. ``role`` marks every file the
-    operation reads ("in") or writes ("out"), a path unless ``kind`` says
-    otherwise. ``key`` is where provenance records the value: ``"seed"`` is
-    the entry's own seed, any other key a parameter, and ``kind`` the type
-    replay requires of it. The CLI records the flags with a role and a key, in
-    flag order, after the layer's own keys; the runner records its other keys.
+    operation reads ("in") or writes ("out"). ``key`` is where provenance
+    records the value: ``"seed"`` is the entry's own seed, any other key a
+    parameter. The CLI records the flags with a role and a key, in flag
+    order, after the layer's own keys; the runner records its other keys.
+
+    ``kind`` is the type replay requires of a recorded value. A role makes it
+    "a path", ``action="store_true"`` "a boolean", ``type=int`` "an integer",
+    ``type=float`` "a number", and anything else "a string". Only a value that
+    may be null passes its kind: that cannot follow from ``required``, since
+    ``score --out`` is optional, yet a null recorded there must be refused
+    rather than skip the compare and exit 0.
     """
 
     def __init__(self, name, key=None, kind=None, role=None, **options):
         self.name, self.key, self.role, self.options = name, key, role, options
-        self.kind = kind or ("a path" if role else None)
+        self.kind = kind or ("a path" if role else "a boolean" if options.get("action") == "store_true"
+                             else {int: "an integer", float: "a number"}.get(options.get("type"), "a string"))
         self.dest = options.get("dest", (name or key).lstrip("-").replace("-", "_"))
 
 
@@ -114,6 +127,11 @@ def _save(args, dataset, report=None, what="instances", **extra) -> str:
     return f"wrote {len(dataset)} {what} to {args.out}"
 
 
+def _options(args) -> dict:
+    """The values the runner records itself: its keyed flags that name no file."""
+    return {flag.key: getattr(args, flag.dest) for flag in args.op.recorded if not flag.role}
+
+
 def _plain_sidecar(args, **options) -> Dataset:
     """The sidecar of an output that is not a dataset: one entry, recorded by the CLI."""
     return _record(args, Dataset(name=Path(args.out).stem).derive((), args.op.name, {}), **options)
@@ -133,17 +151,19 @@ def _load(path, no_answer_token=None) -> Dataset:
 
 _IN = Flag("--in", "in", role="in", dest="in_path", required=True, metavar="FILE")
 _OUT = Flag("--out", "out", role="out", required=True, metavar="FILE")
-_SPLIT = Flag("--split", "split", "a string", required=True, choices=SPLITS)
-_SEED = Flag("--seed", "seed", "an integer", required=True, type=int)
-_REPORT = Flag("--report", role="out", metavar="FILE")
+_SPLIT = Flag("--split", "split", required=True, choices=SPLITS)
+_SEED = Flag("--seed", "seed", required=True, type=int)
+_REPORT = Flag("--report", role="out", metavar="FILE", help="write the report as JSON")
 _DATASET = Flag("--dataset", "dataset", role="in", required=True, metavar="FILE")
 _PREDS = Flag("--preds", "preds", role="in", required=True, metavar="FILE")
 _NOANSWER_TOKEN = Flag("--noanswer-token", "noanswer_token", "a string or null",
                        help="map this predicted token to a no-answer")
+_SCORE_OUT = Flag("--out", "out", role="out", metavar="FILE", help="write the report as JSON")
+_TSV = Flag("--tsv", action="store_true", help="print one tab-separated line")
 
 
 @Operation("ingest-squad", "convert SQuAD v1.1 JSON to canonical JSONL",
-           _IN, _SPLIT, _OUT, Flag("--report", role="out", metavar="FILE", help="write the ingest report as JSON"))
+           _IN, _SPLIT, _OUT, _REPORT)
 def _ingest_squad(args) -> str:
     from .ingest import ingest_squad
 
@@ -179,7 +199,7 @@ def _ingest_uwre(args) -> str:
 
 @Operation("negativize", "delete answer sentences to build negatives",
            _IN, _OUT,
-           Flag("--keep-positives", "keep_positives", "a boolean", action="store_true",
+           Flag("--keep-positives", "keep_positives", action="store_true",
                 help="emit sources alongside negatives"),
            _REPORT)
 def _negativize(args) -> str:
@@ -191,7 +211,7 @@ def _negativize(args) -> str:
 
 
 @Operation("adapt-noanswer", "prefix contexts with the no-answer dummy token",
-           _IN, _OUT, Flag("--token", "token", "a string", default=DEFAULT_NO_ANSWER_TOKEN))
+           _IN, _OUT, Flag("--token", "token", default=DEFAULT_NO_ANSWER_TOKEN))
 def _adapt_noanswer(args) -> str:
     from .transforms import insert_no_answer_token
 
@@ -232,7 +252,13 @@ def _build_uwre_plus(args) -> str:
     if args.split_label:
         seed = derive_seed(args.seed, args.split_label)
         derived = {"master_seed": args.seed, "split_label": args.split_label}
-    result, report = build_uwre_plus(_load(args.in_path), _load(args.pool), seed)
+    dataset, pool = _load(args.in_path), _load(args.pool)
+    # build_uwre_plus refuses both too, but cannot name the file
+    if not any(inst.origin == "uwre_negative" for inst in dataset):
+        raise DataError(f"{args.in_path}: split contains no uwre_negative instances")
+    if not pool:
+        raise DataError(f"{args.pool}: challenge pool is empty")
+    result, report = build_uwre_plus(dataset, pool, seed)
     wrote = _save(args, result, report, **derived)
     extra = report.extra
     return (
@@ -247,10 +273,10 @@ def _build_uwre_plus(args) -> str:
            Flag("--augment", "augment_path", role="in", required=True, metavar="FILE"),
            Flag("--out-dir", required=True, metavar="DIR"),
            # mix_files records one entry per output; it names that output's one-size spec
-           Flag(None, "base", "a string", dest="base_name"),
-           Flag(None, "augment", "a string", dest="augment_name"),
-           Flag(None, "size", "an integer"),
-           Flag(None, "seed", "an integer"),
+           Flag(None, "base", dest="base_name"),
+           Flag(None, "augment", dest="augment_name"),
+           Flag(None, "size", type=int),
+           Flag(None, "seed", type=int),
            Flag(None, "out", role="out"))
 def _mix(args) -> str:
     from .mixer import MixSpec, mix_files
@@ -267,15 +293,14 @@ def _mix(args) -> str:
 @Operation("predict-baseline", "run the lexical overlap baseline",
            _IN, _OUT,
            # recorded after the paths with the defaults filled in, in BaselineConfig.to_dict order
-           Flag("--threshold", "no_answer_threshold", "a number", type=float),
-           Flag("--max-span-tokens", "max_span_tokens", "an integer", type=int),
-           Flag("--idf", "idf_source", "a string", choices=["self_corpus", "uniform"]))
+           Flag("--threshold", "no_answer_threshold", type=float),
+           Flag("--max-span-tokens", "max_span_tokens", type=int),
+           Flag("--idf", "idf_source", choices=IDF_SOURCES))
 def _predict_baseline(args) -> str:
     from .baseline import BaselineConfig, predict_dataset
 
     # the flags that were given; BaselineConfig supplies the defaults of the rest
-    given = {flag.key: getattr(args, flag.dest) for flag in args.op.recorded if not flag.role}
-    config = BaselineConfig(**{key: value for key, value in given.items() if value is not None})
+    config = BaselineConfig(**{key: value for key, value in _options(args).items() if value is not None})
     predictions = predict_dataset(_load(args.in_path), config)
     write_predictions(predictions, args.out, _plain_sidecar(args, **config.to_dict()))
     answered = sum(1 for p in predictions if p.answer is not None)
@@ -286,11 +311,8 @@ def _predict_baseline(args) -> str:
 
 
 @Operation("score", "slot-filling precision/recall/F1",
-           _DATASET, _PREDS,
-           Flag("--out", "out", role="out", metavar="FILE", help="write the report as JSON"),
-           Flag("--match", "match", "a string", choices=["exact", "overlap"], default="exact"),
-           _NOANSWER_TOKEN,
-           Flag("--tsv", action="store_true", help="print one tab-separated line"))
+           _DATASET, _PREDS, _SCORE_OUT, Flag("--match", "match", choices=MATCH_MODES, default="exact"),
+           _NOANSWER_TOKEN, _TSV)
 def _score(args) -> str:
     from . import metrics
 
@@ -301,14 +323,12 @@ def _score(args) -> str:
     else:
         report = metrics.score_slot_filling(dataset, predictions, match=args.match)
     if args.out:
-        options = {flag.key: getattr(args, flag.dest) for flag in args.op.recorded if not flag.role}
-        write_json(report.to_dict(), args.out, _plain_sidecar(args, **options))
+        write_json(report.to_dict(), args.out, _plain_sidecar(args, **_options(args)))
     return report.to_tsv() if args.tsv else json.dumps(report.to_dict(), indent=2, ensure_ascii=False)
 
 
 Operation("score-challenge", "no-answer accuracy on an all-negative set",
-          _DATASET, _PREDS, Flag("--out", "out", role="out", metavar="FILE"), _NOANSWER_TOKEN,
-          Flag("--tsv", action="store_true"))(_score)
+          _DATASET, _PREDS, _SCORE_OUT, _NOANSWER_TOKEN, _TSV)(_score)
 
 
 @Operation("validate", "check every dataset invariant",

@@ -104,7 +104,7 @@ def ingest_squad(document: Any, split: str) -> tuple[Dataset, TransformReport]:
                     )
                 )
     report.output_count = len(instances)
-    dataset = Dataset(name=f"squad-{split}").derive(instances, "ingest-squad", {"split": split})
+    dataset = Dataset(name=f"squad-{split}").derive(instances, report.operation, report.parameters)
     return dataset, report
 
 
@@ -181,5 +181,5 @@ def ingest_uwre(
             )
         )
     report.output_count = len(instances)
-    dataset = Dataset(name=f"uwre-{split}").derive(instances, "ingest-uwre", {"split": split})
+    dataset = Dataset(name=f"uwre-{split}").derive(instances, report.operation, report.parameters)
     return dataset, inventory, report

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .model import Dataset, DataError, Prediction, no_answer_sentinel
+from .model import MATCH_MODES, Dataset, DataError, Prediction, no_answer_sentinel
 
 
 _ARTICLES_RE = re.compile(r"\b(a|an|the)\b")
@@ -200,8 +200,8 @@ def score_slot_filling(
     for token-overlap partial credit. When any instance carries a relation,
     the report also breaks the same scores down per relation.
     """
-    if match not in ("exact", "overlap"):
-        raise DataError(f"unknown match mode {match!r}, expected 'exact' or 'overlap'")
+    if match not in MATCH_MODES:
+        raise DataError(f"unknown match mode {match!r}, expected {' or '.join(map(repr, MATCH_MODES))}")
     overall, per_relation = _tally(dataset, _prediction_map(dataset, predictions), match)
     report = overall.report(match)
     if per_relation:

@@ -328,14 +328,10 @@ def mix_files(
             }
             if k > population:
                 parameters["truncated_to_population"] = True
-            meta = base_meta.derive((), "mix", parameters, spec.seed, name=name)
+            report = TransformReport(operation="mix", input_count=base_count + population,
+                                     output_count=base_count + taken, parameters=parameters)
+            meta = base_meta.derive((), report.operation, report.parameters, spec.seed, name=name)
             outs.append(stack.enter_context(atomic_output(out_path, binary=True, sidecar=meta)))
-            report = TransformReport(
-                operation="mix",
-                input_count=base_count + population,
-                output_count=base_count + taken,
-                parameters=parameters,
-            )
             results.append((name, out_path, report))
         for lines in _line_blocks(base_path):
             data = b"\n".join(lines) + b"\n"

@@ -26,6 +26,9 @@ NEGATIVE_ORIGINS = frozenset({"squad_negative", "uwre_negative", "challenge_nega
 POSITIVE_ORIGINS = frozenset({"squad_positive", "uwre_positive"})
 ORIGINS = POSITIVE_ORIGINS | NEGATIVE_ORIGINS | {"synthetic"}
 SPLITS = ("train", "dev", "test")
+# the values of predict-baseline --idf and of score --match
+IDF_SOURCES = ("self_corpus", "uniform")
+MATCH_MODES = ("exact", "overlap")
 
 # The dummy token that ``adapt-noanswer`` prefixes to every context.
 DEFAULT_NO_ANSWER_TOKEN = "NoAnswerFound"

@@ -110,16 +110,13 @@ def negativize_squad(
     before its negative.
     """
     out: list[Instance] = []
-    skipped = 0
-    report = TransformReport(
-        operation="negativize", parameters={"keep_positives": keep_positives}
-    )
+    report = TransformReport(operation="negativize", input_count=len(dataset),
+                             parameters={"keep_positives": keep_positives})
     for inst in dataset:
         if not inst.answers:
             raise DataError(
                 f"negativize requires positive instances; {inst.id!r} has no answers"
             )
-        report.input_count += 1
         if keep_positives:
             out.append(inst)
         bounds = segment_sentences(inst.context)
@@ -127,7 +124,7 @@ def negativize_squad(
             b for b in bounds if not any(_overlaps(b, span) for span in inst.answers)
         ]
         if not survivors:
-            skipped += 1
+            report.skipped += 1
             report.note(f"{inst.id}: every sentence overlaps a gold span")
             continue
         context = " ".join(inst.context[b.start : b.end] for b in survivors)
@@ -140,12 +137,8 @@ def negativize_squad(
                 origin="squad_negative",
             )
         )
-    report.skipped = skipped
     report.output_count = len(out)
-    result = dataset.derive(
-        out, "negativize", {"keep_positives": keep_positives, "skipped": skipped}
-    )
-    return result, report
+    return dataset.derive(out, report.operation, {**report.parameters, "skipped": report.skipped}), report
 
 
 def insert_no_answer_token(
@@ -166,14 +159,14 @@ def insert_no_answer_token(
         )
     prefix = token + " "
     shift = len(prefix)
-    report = TransformReport(operation="adapt-noanswer", parameters={"token": token})
+    report = TransformReport(operation="adapt-noanswer", input_count=len(dataset),
+                             parameters={"token": token})
     out: list[Instance] = []
     for inst in dataset:
         if inst.context == token or inst.context.startswith(prefix):
             raise DataError(
                 f"{inst.id!r}: context already starts with {token!r}; refusing a second adaptation"
             )
-        report.input_count += 1
         if inst.answers:
             answers = tuple(Span(s.start + shift, s.text) for s in inst.answers)
             report.extra["positives_shifted"] = report.extra.get("positives_shifted", 0) + 1
@@ -182,10 +175,7 @@ def insert_no_answer_token(
             report.extra["negatives_marked"] = report.extra.get("negatives_marked", 0) + 1
         out.append(replace(inst, context=prefix + inst.context, answers=answers))
     report.output_count = len(out)
-    return (
-        dataset.derive(out, "adapt-noanswer", {"token": token}, no_answer_token=token),
-        report,
-    )
+    return dataset.derive(out, report.operation, report.parameters, no_answer_token=token), report
 
 
 def strip_no_answer_token(dataset: Dataset) -> tuple[Dataset, TransformReport]:
@@ -204,13 +194,6 @@ def strip_no_answer_token(dataset: Dataset) -> tuple[Dataset, TransformReport]:
         else:
             answers = tuple(Span(s.start - shift, s.text) for s in inst.answers)
         out.append(replace(inst, context=inst.context[shift:], answers=answers))
-    report = TransformReport(
-        operation="strip-noanswer",
-        input_count=len(out),
-        output_count=len(out),
-        parameters={"token": token},
-    )
-    return (
-        dataset.derive(out, "strip-noanswer", {"token": token}, no_answer_token=None),
-        report,
-    )
+    report = TransformReport(operation="strip-noanswer", input_count=len(out), output_count=len(out),
+                             parameters={"token": token})
+    return dataset.derive(out, report.operation, report.parameters, no_answer_token=None), report

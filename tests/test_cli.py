@@ -1197,3 +1197,117 @@ def test_console_entry_point_usage_errors():
     )
     assert proc.returncode == 0
     assert "--match" in proc.stdout
+
+
+def test_build_uwre_plus_names_the_file_it_cannot_build_from(tmp_path, uwre_file, capsys):
+    data, templates, pool = tmp_path / "uwre.jsonl", tmp_path / "t.tsv", tmp_path / "pool.jsonl"
+    positives, empty, out = tmp_path / "positives.jsonl", tmp_path / "empty.jsonl", tmp_path / "out.jsonl"
+    main(["ingest-uwre", "--in", str(uwre_file), "--split", "dev", "--out", str(data),
+          "--templates-out", str(templates)])
+    main(["build-challenge", "--in", str(data), "--templates", str(templates), "--seed", "5",
+          "--out", str(pool)])
+    # the bundled slot-filling fixture holds no negative record
+    fixture = Path(__file__).parent / "fixtures" / "synthetic_uwre.tsv"
+    main(["ingest-uwre", "--in", str(fixture), "--split", "train", "--out", str(positives)])
+    write_dataset(Dataset(name="empty"), empty)
+    capsys.readouterr()
+    for split, challenge, message in [
+        (positives, pool, f"{positives}: split contains no uwre_negative instances"),
+        (data, empty, f"{empty}: challenge pool is empty"),
+    ]:
+        argv = ["build-uwre-plus", "--in", split, "--pool", challenge, "--seed", 7, "--out", out]
+        assert main([str(arg) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+# (operation, key, kind) of every flag that provenance records, as replay checks it
+_RECORDED_KINDS = [
+    ("ingest-squad", "in", "a path"), ("ingest-squad", "split", "a string"),
+    ("ingest-squad", "out", "a path"),
+    ("ingest-uwre", "in", "a path"), ("ingest-uwre", "split", "a string"),
+    ("ingest-uwre", "out", "a path"), ("ingest-uwre", "templates_out", "a path or null"),
+    ("negativize", "in", "a path"), ("negativize", "out", "a path"),
+    ("negativize", "keep_positives", "a boolean"),
+    ("adapt-noanswer", "in", "a path"), ("adapt-noanswer", "out", "a path"),
+    ("adapt-noanswer", "token", "a string"),
+    ("build-challenge", "in", "a path"), ("build-challenge", "templates", "a path"),
+    ("build-challenge", "seed", "an integer"), ("build-challenge", "out", "a path"),
+    ("build-uwre-plus", "in", "a path"), ("build-uwre-plus", "pool", "a path"),
+    ("build-uwre-plus", "seed", "an integer"), ("build-uwre-plus", "out", "a path"),
+    ("mix", "base_path", "a path"), ("mix", "augment_path", "a path"), ("mix", "base", "a string"),
+    ("mix", "augment", "a string"), ("mix", "size", "an integer"), ("mix", "seed", "an integer"),
+    ("mix", "out", "a path"),
+    ("predict-baseline", "in", "a path"), ("predict-baseline", "out", "a path"),
+    ("predict-baseline", "no_answer_threshold", "a number"),
+    ("predict-baseline", "max_span_tokens", "an integer"), ("predict-baseline", "idf_source", "a string"),
+    ("score", "dataset", "a path"), ("score", "preds", "a path"), ("score", "out", "a path"),
+    ("score", "match", "a string"), ("score", "noanswer_token", "a string or null"),
+    ("score-challenge", "dataset", "a path"), ("score-challenge", "preds", "a path"),
+    ("score-challenge", "out", "a path"), ("score-challenge", "noanswer_token", "a string or null"),
+]
+
+
+def test_replay_types_follow_from_each_flag_declaration():
+    import ast
+
+    recorded = [(op.name, flag.key, flag.kind) for op in cli.OPERATIONS.values() for flag in op.recorded]
+    assert recorded == _RECORDED_KINDS
+    # only the values that may be null name their kind; every other kind follows from the declaration
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    explicit = [
+        node.args[0].value for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Flag"
+        and (len(node.args) > 2 or any(k.arg == "kind" for k in node.keywords))
+    ]
+    assert sorted(explicit) == ["--noanswer-token", "--templates-out"]
+
+
+def test_idf_and_match_choices_are_the_model_vocabularies_on_both_sides():
+    from slotqa import metrics, model
+    from slotqa.baseline import BaselineConfig
+
+    subcommands = cli.build_parser()._subparsers._group_actions[0].choices
+    assert subcommands["predict-baseline"]._option_string_actions["--idf"].choices is model.IDF_SOURCES
+    assert subcommands["score"]._option_string_actions["--match"].choices is model.MATCH_MODES
+
+    dataset = Dataset((Instance("q1", "Where?", "In Paris.", (Span(3, "Paris"),)),))
+    predictions = [Prediction("q1", "Paris")]
+    for source in model.IDF_SOURCES:
+        BaselineConfig(idf_source=source).validate()
+    for mode in model.MATCH_MODES:
+        assert metrics.score_slot_filling(dataset, predictions, match=mode).f1 == 1.0
+    with pytest.raises(model.DataError, match=r"^unknown idf_source 'bogus'$"):
+        BaselineConfig(idf_source="bogus").validate()
+    with pytest.raises(model.DataError, match=r"^unknown match mode 'bogus', expected 'exact' or 'overlap'$"):
+        metrics.score_slot_filling(dataset, predictions, match="bogus")
+
+
+def test_each_layer_the_cli_runs_records_the_operation_it_reports(tmp_path):
+    from slotqa.challenge import build_challenge_set, build_uwre_plus
+    from slotqa.ingest import ingest_squad
+    from slotqa.mixer import MixSpec, mix_files
+    from slotqa.transforms import insert_no_answer_token, negativize_squad
+
+    squad, squad_report = ingest_squad(SQUAD_DOC, "train")
+    uwre, templates, uwre_report = ingest_uwre(UWRE_TSV.splitlines(), "dev")
+    negatives = negativize_squad(squad, keep_positives=True)
+    positives = Dataset(tuple(inst for inst in uwre if inst.origin == "uwre_positive"), "positives")
+    challenge = build_challenge_set(positives, templates, 5)
+    base, augment = tmp_path / "base.jsonl", tmp_path / "augment.jsonl"
+    write_dataset(ingest_uwre(UWRE_TSV.splitlines(), "test")[0], base)
+    write_dataset(uwre, augment)
+    mixed = [
+        (load_dataset(path), report)
+        for _, path, report in mix_files(MixSpec("b", "a", 3, (1, 9)), base, augment, tmp_path / "mix")
+    ]
+    results = [
+        (squad, squad_report), (uwre, uwre_report), negatives, insert_no_answer_token(negatives[0]),
+        challenge, build_uwre_plus(uwre, challenge[0], 11), *mixed,
+    ]
+    operations = [report.operation for _, report in results]
+    assert operations == ["ingest-squad", "ingest-uwre", "negativize", "adapt-noanswer",
+                          "build-challenge", "build-uwre-plus", "mix", "mix"]
+    assert set(operations) <= set(cli.OPERATIONS)
+    for dataset, report in results:
+        assert dataset.provenance_log[-1]["operation"] == report.operation
