@@ -37,9 +37,8 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from itertools import accumulate
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .model import IDF_SOURCES, Dataset, DataError, Instance, Prediction
 from .transforms import segment_sentences
@@ -90,8 +89,7 @@ def _question_terms(instance: Instance) -> tuple[set[str], set[str]]:
     return q_all, q_all - STOP_WORDS
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
+class BaselineConfig(NamedTuple):
     max_span_tokens: int = 8
     no_answer_threshold: float = 1.0
     idf_source: str = "self_corpus"
@@ -107,16 +105,27 @@ class BaselineConfig:
             raise DataError(f"unknown idf_source {self.idf_source!r}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
 class IdfTable:
-    """Document frequencies over a corpus; a table of no documents scores every word 1.0."""
+    """Document frequencies over a corpus; a table of no documents scores every word 1.0.
 
-    n_docs: int = 0
-    doc_freq: Mapping[str, int] = None  # type: ignore[assignment]
-    _weights: dict[str, float] = field(default_factory=dict, init=False, compare=False, repr=False)
+    Each word's weight is cached on first use; the cache is not part of the value.
+    """
+
+    __slots__ = ("n_docs", "doc_freq", "_weights")
+
+    def __init__(self, n_docs: int = 0, doc_freq: Mapping[str, int] | None = None) -> None:
+        self.n_docs, self.doc_freq, self._weights = n_docs, doc_freq, {}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not IdfTable:
+            return NotImplemented
+        return (self.n_docs, self.doc_freq) == (other.n_docs, other.doc_freq)
+
+    def __repr__(self) -> str:
+        return f"IdfTable(n_docs={self.n_docs!r}, doc_freq={self.doc_freq!r})"
 
     def idf(self, token: str) -> float:
         weight = self._weights.get(token)

@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .model import (
@@ -113,7 +112,7 @@ def _record(args, dataset, **options) -> Dataset:
     files = {flag.key: getattr(args, flag.dest) for flag in args.op.recorded if flag.role}
     *log, entry = dataset.provenance_log
     entry = {**entry, "parameters": {**entry["parameters"], **files, **options}}
-    return replace(dataset, provenance_log=(*log, entry))
+    return dataset._replace(provenance_log=(*log, entry))
 
 
 def _save(args, dataset, report=None, what="instances", **extra) -> str:
@@ -141,7 +140,7 @@ def _load(path, no_answer_token=None) -> Dataset:
     """The dataset at ``path``, with ``no_answer_token`` if given; a DataError if it is invalid."""
     dataset = load_dataset(path)
     if no_answer_token is not None:
-        dataset = replace(dataset, no_answer_token=no_answer_token)
+        dataset = dataset._replace(no_answer_token=no_answer_token)
     if violations := validate_dataset(dataset):
         v = violations[0]
         raise DataError(f"{path}: instance {v.instance_id!r} breaks {v.invariant}: {v.message}"
@@ -231,7 +230,7 @@ def _build_challenge(args) -> str:
     if not positives:
         raise DataError(f"{args.in_path}: no uwre_positive instances to build from")
     templates, rejections = load_templates(args.templates)
-    result, report = build_challenge_set(replace(dataset, instances=positives), templates, args.seed)
+    result, report = build_challenge_set(dataset._replace(instances=positives), templates, args.seed)
     report.note(*rejections)
     wrote = _save(args, result, report, what="challenge instances")
     return f"{wrote} ({report.extra['skipped_no_donor']} positives had no donor)"

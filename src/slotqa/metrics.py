@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .model import MATCH_MODES, Dataset, DataError, Prediction, no_answer_sentinel
@@ -31,21 +30,25 @@ def normalize_answer(s: str) -> str:
 _COUNT_KEYS = ("positives", "negatives", "answered", "correct", "no_answer_predictions", "missing")
 
 
-@dataclass
 class EvalReport:
     """Metric values plus the raw tallies they came from.
 
     Slot-filling scoring fills precision/recall/f1 and leaves accuracy
     None; challenge scoring fills accuracy only. ``to_dict`` drops the
-    unused fields.
+    unused fields. Reports with the same values are equal.
     """
 
-    precision: float | None = None
-    recall: float | None = None
-    f1: float | None = None
-    accuracy: float | None = None
-    counts: dict = field(default_factory=dict)
-    per_relation: dict | None = None
+    def __init__(self, precision: float | None = None, recall: float | None = None,
+                 f1: float | None = None, accuracy: float | None = None,
+                 counts: dict | None = None, per_relation: dict | None = None) -> None:
+        self.precision, self.recall, self.f1, self.accuracy = precision, recall, f1, accuracy
+        self.counts = {} if counts is None else counts
+        self.per_relation = per_relation
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not EvalReport:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_dict(self) -> dict:
         out: dict = {}

@@ -14,10 +14,9 @@ import os
 import random
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from .model import (
     DataError,
@@ -33,8 +32,7 @@ from .model import (
 DEFAULT_SIZES = (10**3, 10**4, 10**5, 10**6)
 
 
-@dataclass(frozen=True)
-class MixSpec:
+class MixSpec(NamedTuple):
     """Configuration of one mixing run; ``base`` and ``augment`` are names."""
 
     base: str

@@ -18,9 +18,8 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 NEGATIVE_ORIGINS = frozenset({"squad_negative", "uwre_negative", "challenge_negative"})
 POSITIVE_ORIGINS = frozenset({"squad_positive", "uwre_positive"})
@@ -47,8 +46,7 @@ class DataError(ValueError):
     """Semantic failure in well-formed data (broken invariant, bad precondition)."""
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """A gold answer: ``text`` starts at code-point offset ``start`` of the context."""
 
     start: int
@@ -60,8 +58,7 @@ def no_answer_sentinel(token: str | None) -> tuple[Span, ...] | None:
     return None if token is None else (Span(0, token),)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """One question paired with one context.
 
     An empty ``answers`` tuple marks a negative instance: the context does
@@ -84,27 +81,23 @@ class Instance:
         return not self.answers
 
 
-_INSTANCE_FIELDS = tuple(f.name for f in fields(Instance))
-_INSTANCE_FIELD_SET = frozenset(_INSTANCE_FIELDS)
+_INSTANCE_FIELD_SET = frozenset(Instance._fields)
 
 
-@dataclass(frozen=True)
-class QuestionTemplate:
+class QuestionTemplate(NamedTuple):
     """A parametric question for a relation; the placeholder marks the entity slot."""
 
     relation: str
     pattern: str
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """A system output for one instance; ``answer is None`` means no answer."""
 
     instance_id: str
     answer: str | None
 
 
-@dataclass(frozen=True)
 class Dataset:
     """An ordered, immutable collection of instances with provenance.
 
@@ -112,13 +105,33 @@ class Dataset:
     Dataset copies the old entries and adds one of its own. Each entry is
     ``{"operation": str, "parameters": dict, "seed": int | None}``.
     ``no_answer_token`` is set once a dummy-token adaptation has been applied
-    so scoring can map the token back to a no-answer.
+    so scoring can map the token back to a no-answer. Fields cannot be
+    assigned: :meth:`_replace` makes a copy with some of them changed.
     """
 
-    instances: tuple[Instance, ...] = ()
-    name: str = ""
-    provenance_log: tuple[dict, ...] = ()
-    no_answer_token: str | None = None
+    __slots__ = ("instances", "name", "provenance_log", "no_answer_token")
+
+    def __init__(self, instances: tuple[Instance, ...] = (), name: str = "",
+                 provenance_log: tuple[dict, ...] = (), no_answer_token: str | None = None) -> None:
+        for key, value in zip(Dataset.__slots__, (instances, name, provenance_log, no_answer_token)):
+            object.__setattr__(self, key, value)
+
+    def __setattr__(self, key: str, value: Any = None) -> None:
+        raise AttributeError(f"a Dataset is immutable: cannot change {key!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Dataset:
+            return NotImplemented
+        return all(getattr(self, key) == getattr(other, key) for key in Dataset.__slots__)
+
+    def __repr__(self) -> str:
+        return f"Dataset({', '.join(f'{key}={getattr(self, key)!r}' for key in Dataset.__slots__)})"
+
+    def _replace(self, **changes: Any) -> "Dataset":
+        """A copy with ``changes``; an unknown field name is a TypeError."""
+        return Dataset(**{**{key: getattr(self, key) for key in Dataset.__slots__}, **changes})
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -136,12 +149,11 @@ class Dataset:
     ) -> "Dataset":
         """A new Dataset with ``instances``, inheriting and extending provenance."""
         entry = {"operation": operation, "parameters": dict(parameters), "seed": seed}
-        return replace(self, instances=tuple(instances),
-                       provenance_log=self.provenance_log + (entry,), **overrides)
+        return self._replace(instances=tuple(instances),
+                             provenance_log=self.provenance_log + (entry,), **overrides)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken dataset invariant, attributed to an instance."""
 
     instance_id: str
@@ -153,18 +165,17 @@ class Violation:
 _MAX_NOTES = 1000
 
 
-@dataclass
 class TransformReport:
     """Summary of one dataset-producing operation; serializes to plain JSON."""
 
-    operation: str
-    input_count: int = 0
-    output_count: int = 0
-    skipped: int = 0
-    parameters: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
-    notes_dropped: int = 0
+    def __init__(self, operation: str, input_count: int = 0, output_count: int = 0, skipped: int = 0,
+                 parameters: dict | None = None, extra: dict | None = None) -> None:
+        self.operation, self.input_count, self.output_count = operation, input_count, output_count
+        self.skipped = skipped
+        self.parameters = {} if parameters is None else parameters
+        self.extra = {} if extra is None else extra
+        self.notes: list[str] = []
+        self.notes_dropped = 0
 
     def note(self, *texts: str) -> None:
         """Add notes; past the first 1,000 only their number is kept."""
@@ -278,7 +289,7 @@ def _parse_instance(obj: Any) -> Instance:
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object")
     if obj.keys() != _INSTANCE_FIELD_SET:
-        missing = [k for k in _INSTANCE_FIELDS if k not in obj]
+        missing = [k for k in Instance._fields if k not in obj]
         unknown = [k for k in obj if k not in _INSTANCE_FIELD_SET]
         raise ParseError(
             "bad instance fields"
@@ -500,7 +511,7 @@ def read_sidecar(path: str | Path) -> Dataset:
 def load_dataset(path: str | Path) -> Dataset:
     """Read a JSONL dataset, picking up the metadata sidecar when present."""
     instances = read_instances(path)
-    return replace(read_sidecar(path), instances=instances)
+    return read_sidecar(path)._replace(instances=instances)
 
 
 # --- prediction files: one {"id": ..., "answer": ...} object per line ---

@@ -13,7 +13,7 @@ together cover every non-whitespace character.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .model import (DEFAULT_NO_ANSWER_TOKEN, Dataset, DataError, Instance, Span, TransformReport,
                     no_answer_sentinel)
@@ -39,8 +39,7 @@ ABBREVIATIONS = frozenset(
 _INITIALS_RE = re.compile(r"(?:[^\W\d_]\.)+\Z", re.UNICODE)
 
 
-@dataclass(frozen=True)
-class SentenceBoundary:
+class SentenceBoundary(NamedTuple):
     """Half-open code-point range [start, end) of one sentence in a context."""
 
     start: int
@@ -129,8 +128,7 @@ def negativize_squad(
             continue
         context = " ".join(inst.context[b.start : b.end] for b in survivors)
         out.append(
-            replace(
-                inst,
+            inst._replace(
                 id=inst.id + "-neg",
                 context=context,
                 answers=(),
@@ -173,7 +171,7 @@ def insert_no_answer_token(
         else:
             answers = no_answer_sentinel(token)
             report.extra["negatives_marked"] = report.extra.get("negatives_marked", 0) + 1
-        out.append(replace(inst, context=prefix + inst.context, answers=answers))
+        out.append(inst._replace(context=prefix + inst.context, answers=answers))
     report.output_count = len(out)
     return dataset.derive(out, report.operation, report.parameters, no_answer_token=token), report
 
@@ -193,7 +191,7 @@ def strip_no_answer_token(dataset: Dataset) -> tuple[Dataset, TransformReport]:
             answers: tuple[Span, ...] = ()
         else:
             answers = tuple(Span(s.start - shift, s.text) for s in inst.answers)
-        out.append(replace(inst, context=inst.context[shift:], answers=answers))
+        out.append(inst._replace(context=inst.context[shift:], answers=answers))
     report = TransformReport(operation="strip-noanswer", input_count=len(out), output_count=len(out),
                              parameters={"token": token})
     return dataset.derive(out, report.operation, report.parameters, no_answer_token=None), report

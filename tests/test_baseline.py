@@ -72,6 +72,13 @@ def test_config_validation():
     BaselineConfig().validate()
 
 
+def test_config_dict_keeps_the_field_order():
+    # predict-baseline records this dict in its sidecar, so the order is part of the bytes
+    assert list(BaselineConfig().to_dict().items()) == [
+        ("max_span_tokens", 8), ("no_answer_threshold", 1.0), ("idf_source", "self_corpus"),
+    ]
+
+
 def test_idf_formula():
     corpus = make_dataset(make_instance(context="a b b"))
     table = build_idf(corpus)

@@ -118,6 +118,35 @@ def test_slotqa_loads_only_the_standard_library():
                 assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
+def test_no_entry_point_loads_dataclasses_or_inspect():
+    """The model types are tuples and plain classes; every CLI step starts without these.
+
+    Compared with the modules loaded before slotqa, because site ``.pth``
+    files may preload modules of their own.
+    """
+    # pkgutil.iter_modules itself imports inspect, so the modules are named here
+    modules = sorted(path.stem for path in Path(slotqa.__file__).parent.glob("[!_]*.py"))
+    assert set(modules) == LAYERS | {"cli", "model"}
+    code = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "def new(): return sorted(m for m in ('dataclasses', 'inspect') if m in set(sys.modules) - before)\n"
+        "import slotqa.cli\n"
+        "seen = {'import': new()}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        slotqa.cli.main(['--help'])\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "seen['--help'] = new()\n"
+        f"for module in {modules!r}:\n"
+        "    __import__(f'slotqa.{module}')\n"
+        "seen['layers'] = new()\n"
+        "print([(step, m) for step, ms in seen.items() for m in ms])"
+    )
+    assert _run(code) == set()
+
+
 def test_every_public_name_is_its_home_modules_object():
     for name in slotqa.__all__:
         home = importlib.import_module(f"slotqa.{slotqa._HOMES[name]}")

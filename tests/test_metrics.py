@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -265,7 +264,7 @@ def test_per_relation_report_equals_scoring_the_relation_alone(case, match):
         members = tuple(i for i in ds if i.relation == rel)
         ids = {i.id for i in members}
         alone = score_slot_filling(
-            replace(ds, instances=members), [p for p in preds if p.instance_id in ids], match=match
+            ds._replace(instances=members), [p for p in preds if p.instance_id in ids], match=match
         )
         assert group.per_relation is None
         assert group.to_dict() == alone.per_relation[rel].to_dict()

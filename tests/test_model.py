@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -7,10 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slotqa import (
+    BaselineConfig,
     DataError,
     Dataset,
     Instance,
+    MixSpec,
     ParseError,
+    Prediction,
     Span,
     dumps_instance,
     instance_from_dict,
@@ -100,9 +102,8 @@ def test_instance_dict_field_order_and_shape():
     assert d["answers"] == [{"start": 28, "text": "Honolulu, Hawaii"}]
 
 
-def test_instance_dict_writes_the_dataclass_fields_in_order():
-    names = tuple(f.name for f in dataclasses.fields(Instance))
-    assert tuple(instance_to_dict(make_instance())) == names
+def test_instance_dict_writes_the_instance_fields_in_order():
+    assert tuple(instance_to_dict(make_instance())) == Instance._fields
 
 
 def test_instance_from_dict_rejects_unknown_and_missing_keys():
@@ -341,6 +342,36 @@ def test_derive_appends_provenance():
         "seed": None,
     }
     assert out.name == "base"
+
+
+@pytest.mark.parametrize("value, field", [
+    (make_instance(), "context"),
+    (Span(0, "x"), "start"),
+    (Prediction("a", None), "answer"),
+    (MixSpec("b", "a", 1), "sizes"),
+    (BaselineConfig(), "no_answer_threshold"),
+    (make_dataset(make_instance()), "instances"),
+    (make_dataset(make_instance()), "no_answer_token"),
+])
+def test_fields_cannot_be_assigned(value, field):
+    # transforms never mutate their input: every record and dataset is immutable
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    if isinstance(value, Dataset):
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert getattr(value, field) is before
+
+
+def test_dataset_replace_changes_only_the_named_fields():
+    ds = make_dataset(make_instance(), name="base")
+    renamed = ds._replace(name="other")
+    assert (renamed.name, renamed.instances, ds.name) == ("other", ds.instances, "base")
+    assert renamed == Dataset(ds.instances, "other", ds.provenance_log, ds.no_answer_token)
+    assert renamed != ds
+    with pytest.raises(TypeError, match="bogus"):
+        ds._replace(bogus=1)
 
 
 @st.composite
