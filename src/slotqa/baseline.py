@@ -159,7 +159,9 @@ def predict(instance: Instance, config: BaselineConfig, idf_table: IdfTable) -> 
     # interpreter's per-length tuple free lists and raise peak RSS.
     words, starts, ends = _token_columns(instance.context)
     max_span = config.max_span_tokens
-    best: tuple[float, int, int] | None = None  # (score, char_start, char_end)
+    # (score, char_start, char_end). Spans come in increasing (char_start, char_end)
+    # order, so a strictly higher score alone keeps the earlier, then shorter, span.
+    best = (-math.inf, 0, 0)
     for boundary in segment_sentences(instance.context):
         # Tokens with boundary.start <= start and end <= boundary.end.
         lo = bisect_left(starts, boundary.start)
@@ -171,48 +173,26 @@ def predict(instance: Instance, config: BaselineConfig, idf_table: IdfTable) -> 
         idf = {w: idf_table.idf(w) for w in set(sentence_words)}
         sentence_score = sum(idf[w] for w in sorted(overlap))
         n_tokens = len(sentence_words)
-        # Maximal runs [run_start, run_end) of tokens outside q_all; spans
-        # never contain question terms.
-        runs: list[tuple[int, int]] = []
-        run_start = None
-        for pos, token in enumerate(sentence_words):
-            if token in q_all:
-                if run_start is not None:
-                    runs.append((run_start, pos))
-                    run_start = None
-            elif run_start is None:
-                run_start = pos
-        if run_start is not None:
-            runs.append((run_start, n_tokens))
-        for run_start, run_end in runs:
-            for a in range(run_start, run_end):
-                credit = 0.0
-                seen: set[str] = set()
-                before = a - 1
-                if before >= 0 and sentence_words[before] in q_content:
-                    before_adjacency = 0.25 * idf[sentence_words[before]]
-                else:
-                    before_adjacency = 0.0
-                char_start = starts[lo + a]
-                for b in range(a, min(a + max_span, run_end)):
-                    token = sentence_words[b]
-                    if token not in seen and token not in STOP_WORDS:
-                        credit += idf[token]
-                        seen.add(token)
-                    adjacency = before_adjacency
-                    after = b + 1
-                    if after < n_tokens and sentence_words[after] in q_content:
-                        adjacency += 0.25 * idf[sentence_words[after]]
-                    score = sentence_score + credit + adjacency
-                    char_end = ends[lo + b]
-                    if (
-                        best is None
-                        or score > best[0]
-                        or (score == best[0] and char_start < best[1])
-                        or (score == best[0] and char_start == best[1] and char_end < best[2])
-                    ):
-                        best = (score, char_start, char_end)
-    if best is None or best[0] < config.no_answer_threshold:
+        # Per token, what it adds inside a span (None: no span holds it; a stop
+        # word's 0.0 leaves a sum exactly as it was) and as a neighbour; bonus
+        # is padded with a 0.0 on each side of the sentence.
+        credits = [None if w in q_all else 0.0 if w in STOP_WORDS else idf[w] for w in sentence_words]
+        bonus = [0.0, *[0.25 * idf[w] if w in q_content else 0.0 for w in sentence_words], 0.0]
+        for a in range(n_tokens):
+            if credits[a] is None:
+                continue
+            before, credit, seen = bonus[a], 0.0, set()
+            for b in range(a, min(a + max_span, n_tokens)):
+                token_credit, token = credits[b], sentence_words[b]
+                if token_credit is None:
+                    break
+                if token not in seen:
+                    credit += token_credit
+                    seen.add(token)
+                score = sentence_score + credit + (before + bonus[b + 2])
+                if score > best[0]:
+                    best = (score, starts[lo + a], ends[lo + b])
+    if best[0] < config.no_answer_threshold:
         return Prediction(instance.id, None)
     return Prediction(instance.id, instance.context[best[1] : best[2]])
 

@@ -16,9 +16,7 @@ from them by one rule: a flag's ``role`` gives the direction of a file it
 names, and its ``key`` says whether provenance records it. The CLI records
 the flags that have both; each runner records its other keyed flags. The
 type ``replay`` requires of a recorded value follows from the same
-declaration: a path for a file, else the flag's argparse action or type
-(see :class:`Flag`). Only a value that may be null names its type, because
-``score --out`` is optional, yet replay must refuse a null recorded there.
+declaration (see :class:`Flag`).
 
 A runner takes the parsed arguments (on replay, the recorded values under
 the same names) and returns the line to print, or the exit code once it has
@@ -36,11 +34,14 @@ from pathlib import Path
 from .model import (
     DEFAULT_NO_ANSWER_TOKEN,
     IDF_SOURCES,
+    JSON_KINDS,
     MATCH_MODES,
     SPLITS,
     DataError,
     Dataset,
     ParseError,
+    check_no_answer_token,
+    expect,
     load_dataset,
     parse_sidecar,
     read_json,
@@ -53,15 +54,11 @@ from .model import (
     write_predictions,
 )
 
-# the types replay requires of recorded values; JSON true and false are never numbers here
-_IS_TYPE = {
+# the kinds of a recorded value or a file flag: the JSON kinds and the two of a file name
+_KINDS = {
+    **JSON_KINDS,
     "a path": lambda value: isinstance(value, str) and value != "" and "\0" not in value,
-    "a path or null": lambda value: value in (None, "") or _IS_TYPE["a path"](value),  # "": unset
-    "a string": lambda value: isinstance(value, str),
-    "a string or null": lambda value: value is None or isinstance(value, str),
-    "a boolean": lambda value: isinstance(value, bool),
-    "an integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
-    "a number": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
+    "a path or null": lambda value: value in (None, "") or _KINDS["a path"](value),  # "": unset
 }
 
 
@@ -140,12 +137,22 @@ def _load(path, no_answer_token=None) -> Dataset:
     """The dataset at ``path``, with ``no_answer_token`` if given; a DataError if it is invalid."""
     dataset = load_dataset(path)
     if no_answer_token is not None:
-        dataset = dataset._replace(no_answer_token=no_answer_token)
+        dataset = dataset._replace(no_answer_token=check_no_answer_token(no_answer_token))
     if violations := validate_dataset(dataset):
         v = violations[0]
         raise DataError(f"{path}: instance {v.instance_id!r} breaks {v.invariant}: {v.message}"
                         f" (violations: {len(violations)}; validate lists them all)")
     return dataset
+
+
+def _naming(path, layer, *args):
+    """``layer(*args)``; a ParseError it raises is made to start with the input ``path``."""
+    try:
+        return layer(*args)
+    except ParseError as e:
+        if str(e).startswith(f"{path}: "):  # read_json and read_lines name it already
+            raise
+        raise ParseError(f"{path}: {e}") from e.__cause__
 
 
 _IN = Flag("--in", "in", role="in", dest="in_path", required=True, metavar="FILE")
@@ -166,7 +173,7 @@ _TSV = Flag("--tsv", action="store_true", help="print one tab-separated line")
 def _ingest_squad(args) -> str:
     from .ingest import ingest_squad
 
-    dataset, report = ingest_squad(read_json(args.in_path), args.split)
+    dataset, report = _naming(args.in_path, ingest_squad, read_json(args.in_path), args.split)
     wrote = _save(args, dataset, report)
     return f"{wrote} ({report.skipped} dropped of {report.input_count} questions)"
 
@@ -180,14 +187,7 @@ def _ingest_uwre(args) -> str:
     from .ingest import ingest_uwre
     from .templates import save_templates
 
-    try:
-        dataset, inventory, report = ingest_uwre(read_lines(args.in_path), args.split)
-    except ParseError as e:
-        # ingest_uwre numbers a bad line but never sees the file's name; read_lines'
-        # errors already name it, and an unknown split is not about the file
-        if not str(e).startswith("line "):
-            raise
-        raise ParseError(f"{args.in_path}: {e}") from e.__cause__
+    dataset, inventory, report = _naming(args.in_path, ingest_uwre, read_lines(args.in_path), args.split)
     wrote = _save(args, dataset, report)
     message = f"{wrote} ({report.skipped} dropped of {report.input_count} records)"
     if args.templates_out:
@@ -361,9 +361,7 @@ def _replay(args) -> int:
                 print(f"skip: step {i} ({name}) is not a replayable operation")
                 continue
             where = f"{args.log}: step {i} ({name})"
-            parameters = entry.get("parameters", {})
-            if not isinstance(parameters, dict):
-                raise ParseError(f"{where}: parameters must be an object")
+            parameters = expect(entry.get("parameters", {}), "an object", f"{where}: parameters")
             if "out" not in parameters:
                 print(f"skip: step {i} ({name}) records no output path")
                 continue
@@ -375,9 +373,8 @@ def _replay(args) -> int:
                 # a key that may be null may also be missing, as from logs written before it existed
                 if flag.key not in record and not flag.kind.endswith(" or null"):
                     raise ParseError(f"{where}: missing required key '{prefix}{flag.key}'")
-                value = values[flag.dest] = record.get(flag.key)
-                if not _IS_TYPE[flag.kind](value):
-                    raise ParseError(f"{where}: '{prefix}{flag.key}' must be {flag.kind}")
+                value = values[flag.dest] = expect(record.get(flag.key), flag.kind,
+                                                   f"{where}: '{prefix}{flag.key}'", _KINDS)
                 choices = flag.options.get("choices")
                 if choices and value not in choices:
                     raise ParseError(f"{where}: '{prefix}{flag.key}' must be one of {list(choices)}")
@@ -425,6 +422,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         named = [flag for flag in args.op.flags if flag.name]
+        for flag in named:  # "" is no file: a write to it would land beside the working directory
+            if flag.role and getattr(args, flag.dest) is not None:
+                expect(getattr(args, flag.dest), "a path", flag.name, _KINDS)
         outputs = [getattr(args, f.dest) for f in named if f.role == "out"]
         refuse_overwrite(outputs, [getattr(args, f.dest) for f in named if f.role == "in"])
         result = args.op.run(args)

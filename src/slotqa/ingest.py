@@ -26,6 +26,7 @@ from .model import (
     Span,
     SPLITS,
     TransformReport,
+    expect,
 )
 from .templates import PLACEHOLDER, instantiate
 
@@ -35,19 +36,13 @@ def _check_split(split: str) -> None:
         raise ParseError(f"unknown split {split!r}, expected one of {list(SPLITS)}")
 
 
-_KIND_NAMES = {list: "an array", str: "a string", int: "an integer"}
-
-
-def _expect(obj: Any, key: str, path: str, kind: type) -> Any:
-    """``obj[key]``, which must be of ``kind``; JSON true and false are not integers."""
+def _expect(obj: Any, key: str, path: str, kind: str) -> Any:
+    """``obj[key]``, which must be of ``kind``, a name in ``JSON_KINDS``."""
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object")
     if key not in obj:
         raise ParseError(f"{path}: missing key {key!r}")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ParseError(f"{path}.{key}: expected {_KIND_NAMES[kind]}")
-    return value
+    return expect(obj[key], kind, f"{path}.{key}")
 
 
 def ingest_squad(document: Any, split: str) -> tuple[Dataset, TransformReport]:
@@ -60,24 +55,24 @@ def ingest_squad(document: Any, split: str) -> tuple[Dataset, TransformReport]:
     _check_split(split)
     report = TransformReport(operation="ingest-squad", parameters={"split": split})
     instances: list[Instance] = []
-    for d_i, article in enumerate(_expect(document, "data", "$", list)):
-        paragraphs = _expect(article, "paragraphs", f"$.data[{d_i}]", list)
+    for d_i, article in enumerate(_expect(document, "data", "$", "an array")):
+        paragraphs = _expect(article, "paragraphs", f"$.data[{d_i}]", "an array")
         for p_i, paragraph in enumerate(paragraphs):
             path = f"$.data[{d_i}].paragraphs[{p_i}]"
-            context = _expect(paragraph, "context", path, str)
-            for q_i, qa in enumerate(_expect(paragraph, "qas", path, list)):
+            context = _expect(paragraph, "context", path, "a string")
+            for q_i, qa in enumerate(_expect(paragraph, "qas", path, "an array")):
                 qa_path = f"{path}.qas[{q_i}]"
-                qa_id = _expect(qa, "id", qa_path, str)
-                question = _expect(qa, "question", qa_path, str)
-                answers_raw = _expect(qa, "answers", qa_path, list)
+                qa_id = _expect(qa, "id", qa_path, "a string")
+                question = _expect(qa, "question", qa_path, "a string")
+                answers_raw = _expect(qa, "answers", qa_path, "an array")
                 report.input_count += 1
                 spans: list[Span] = []
                 seen: set[tuple[int, str]] = set()
                 bad = None
                 for a_i, answer in enumerate(answers_raw):
                     a_path = f"{qa_path}.answers[{a_i}]"
-                    text = _expect(answer, "text", a_path, str)
-                    start = _expect(answer, "answer_start", a_path, int)
+                    text = _expect(answer, "text", a_path, "a string")
+                    start = _expect(answer, "answer_start", a_path, "an integer")
                     if (start, text) in seen:
                         continue
                     seen.add((start, text))

@@ -19,11 +19,13 @@ from pathlib import Path
 from typing import Any, Iterator, NamedTuple
 
 from .model import (
+    JSON_KINDS,
     DataError,
     ParseError,
     TransformReport,
     atomic_output,
     decode_line,
+    expect,
     read_json,
     read_sidecar,
     refuse_overwrite,
@@ -62,15 +64,10 @@ class MixSpec(NamedTuple):
         for key in ("base", "augment", "seed"):
             if key not in obj:
                 raise ParseError(f"{path}: missing key {key!r}")
-        for key in ("base", "augment"):
-            if not isinstance(obj[key], str):
-                raise ParseError(f"{path}: {key!r} must be a string")
-        if isinstance(obj["seed"], bool) or not isinstance(obj["seed"], int):
-            raise ParseError(f"{path}: 'seed' must be an integer")
+        for key, kind in (("base", "a string"), ("augment", "a string"), ("seed", "an integer")):
+            expect(obj[key], kind, f"{path}: {key!r}")
         sizes = obj.get("sizes", list(DEFAULT_SIZES))
-        if not isinstance(sizes, list) or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in sizes
-        ):
+        if not isinstance(sizes, list) or not all(map(JSON_KINDS["an integer"], sizes)):
             raise ParseError(f"{path}: 'sizes' must be an array of integers")
         unknown = set(obj) - {"base", "augment", "seed", "sizes"}
         if unknown:

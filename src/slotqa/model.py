@@ -46,6 +46,34 @@ class DataError(ValueError):
     """Semantic failure in well-formed data (broken invariant, bad precondition)."""
 
 
+# what each reader requires of a JSON value, by the name its message gives; true and false are not numbers
+JSON_KINDS = {
+    "a string": lambda value: isinstance(value, str),
+    "a string or null": lambda value: value is None or isinstance(value, str),
+    "a boolean": lambda value: isinstance(value, bool),
+    "an integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "a number": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
+    "an array": lambda value: isinstance(value, list),
+    "an object": lambda value: isinstance(value, dict),
+}
+
+
+def expect(value: Any, kind: str, what: str, kinds: dict = JSON_KINDS) -> Any:
+    """``value`` if it is of ``kind``, a name in ``kinds``; else a ParseError that ``what`` starts."""
+    if not kinds[kind](value):
+        raise ParseError(f"{what} must be {kind}")
+    return value
+
+
+def check_no_answer_token(token: str, side: str | Path | None = None) -> str:
+    """``token``, if it is non-empty and holds no whitespace. Otherwise a DataError, or for
+    a token read from the sidecar ``side`` a ParseError naming it."""
+    if not token or any(ch.isspace() for ch in token):
+        message = "no-answer token must be non-empty and contain no whitespace"
+        raise DataError(message) if side is None else ParseError(f"{side}: {message}")
+    return token
+
+
 class Span(NamedTuple):
     """A gold answer: ``text`` starts at code-point offset ``start`` of the context."""
 
@@ -304,7 +332,7 @@ def _parse_instance(obj: Any) -> Instance:
         if not isinstance(a, dict) or a.keys() != _SPAN_FIELD_SET:
             raise ParseError(f"answers[{i}] must be an object with start and text")
         start, text = a["start"], a["text"]
-        if isinstance(start, bool) or not isinstance(start, int):
+        if not JSON_KINDS["an integer"](start):
             raise ParseError(f"answers[{i}].start must be an integer")
         if not isinstance(text, str):
             raise ParseError(f"answers[{i}].text must be a string")
@@ -493,10 +521,9 @@ def parse_sidecar(side: str | Path, name: str = "") -> Dataset:
     name = meta.get("name", name)
     token = meta.get("no_answer_token")
     log = meta.get("provenance_log", [])
-    if not isinstance(name, str):
-        raise ParseError(f"{side}: name must be a string")
-    if token is not None and not isinstance(token, str):
-        raise ParseError(f"{side}: no_answer_token must be a string or null")
+    expect(name, "a string", f"{side}: name")
+    if expect(token, "a string or null", f"{side}: no_answer_token") is not None:
+        check_no_answer_token(token, side)
     if not isinstance(log, list) or not all(isinstance(entry, dict) for entry in log):
         raise ParseError(f"{side}: provenance_log must be a list of objects")
     return Dataset(name=name, provenance_log=tuple(log), no_answer_token=token)
@@ -527,11 +554,8 @@ def write_predictions(predictions: Iterable[Prediction], path: str | Path, sidec
 def _parse_prediction(obj: Any) -> Prediction:
     if not isinstance(obj, dict) or obj.keys() != _PREDICTION_FIELD_SET:
         raise ParseError("expected an object with id and answer")
-    if not isinstance(obj["id"], str):
-        raise ParseError("field 'id' must be a string")
-    if obj["answer"] is not None and not isinstance(obj["answer"], str):
-        raise ParseError("field 'answer' must be a string or null")
-    return Prediction(obj["id"], obj["answer"])
+    return Prediction(expect(obj["id"], "a string", "field 'id'"),
+                      expect(obj["answer"], "a string or null", "field 'answer'"))
 
 
 def read_predictions(path: str | Path) -> tuple[Prediction, ...]:

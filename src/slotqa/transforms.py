@@ -16,7 +16,7 @@ import re
 from typing import NamedTuple
 
 from .model import (DEFAULT_NO_ANSWER_TOKEN, Dataset, DataError, Instance, Span, TransformReport,
-                    no_answer_sentinel)
+                    check_no_answer_token, no_answer_sentinel)
 
 # Sentence-closing candidates: a terminator that ends the text or is followed
 # by whitespace (``\s`` is exactly ``str.isspace``), taken with that
@@ -149,8 +149,7 @@ def insert_no_answer_token(
     records the token so scoring can map a predicted token back to a
     no-answer. Adapting twice is refused.
     """
-    if not token or any(ch.isspace() for ch in token):
-        raise DataError("no-answer token must be non-empty and contain no whitespace")
+    check_no_answer_token(token)
     if dataset.no_answer_token is not None:
         raise DataError(
             f"dataset is already adapted with token {dataset.no_answer_token!r}"

@@ -327,6 +327,46 @@ def test_ingest_uwre_parse_error_names_the_file(tmp_path):
     assert not out.exists()
 
 
+def test_ingest_squad_structure_error_names_the_file(tmp_path, capsys):
+    doc = json.loads(json.dumps(SQUAD_DOC))
+    doc["data"][0]["paragraphs"][0]["qas"][0]["answers"][0]["answer_start"] = True
+    bad, out = tmp_path / "bad.json", tmp_path / "o.jsonl"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["ingest-squad", "--in", str(bad), "--split", "train", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: $.data[0].paragraphs[0].qas[0].answers[0].answer_start must be an integer\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["", "No Answer"])
+@pytest.mark.parametrize("operation", ["score", "score-challenge"])
+def test_score_refuses_a_noanswer_token_that_adapt_noanswer_refuses(tmp_path, squad_file, capsys,
+                                                                     operation, token):
+    pos, preds = tmp_path / "pos.jsonl", tmp_path / "p.jsonl"
+    main(["ingest-squad", "--in", str(squad_file), "--split", "train", "--out", str(pos)])
+    main(["predict-baseline", "--in", str(pos), "--out", str(preds)])
+    capsys.readouterr()
+    for argv in (["adapt-noanswer", "--in", pos, "--out", tmp_path / "a.jsonl", "--token", token],
+                 [operation, "--dataset", pos, "--preds", preds, "--tsv", "--noanswer-token", token]):
+        assert main([str(arg) for arg in argv]) == 1
+        assert capsys.readouterr() == ("", "error: no-answer token must be non-empty and contain no whitespace\n")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--templates-out", "--report"])
+def test_an_empty_file_flag_is_refused_before_anything_is_written(tmp_path, uwre_file, capsys,
+                                                                   monkeypatch, flag):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    files = {"--out": "o.jsonl", "--templates-out": "t.tsv", "--report": "r.json", flag: ""}
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["ingest-uwre", "--in", str(uwre_file), "--split", "dev", *[x for kv in files.items() for x in kv]]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} must be a path\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 _NOT_UTF8 = b'{"id": "caf\xe9"}'
 _TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
 

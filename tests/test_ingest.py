@@ -120,23 +120,23 @@ DELETED = object()
     [
         ((), [], "$: expected a JSON object"),
         (("data",), DELETED, "$: missing key 'data'"),
-        (("data",), {}, "$.data: expected an array"),
+        (("data",), {}, "$.data must be an array"),
         (("data", 0), 1, "$.data[0]: expected a JSON object"),
         (("data", 0, "paragraphs"), DELETED, "$.data[0]: missing key 'paragraphs'"),
         (PARAGRAPH, "text", "$.data[0].paragraphs[0]: expected a JSON object"),
         ((*PARAGRAPH, "context"), DELETED, "$.data[0].paragraphs[0]: missing key 'context'"),
-        ((*PARAGRAPH, "context"), 5, "$.data[0].paragraphs[0].context: expected a string"),
-        ((*PARAGRAPH, "qas"), None, "$.data[0].paragraphs[0].qas: expected an array"),
+        ((*PARAGRAPH, "context"), 5, "$.data[0].paragraphs[0].context must be a string"),
+        ((*PARAGRAPH, "qas"), None, "$.data[0].paragraphs[0].qas must be an array"),
         (QA, None, "$.data[0].paragraphs[0].qas[0]: expected a JSON object"),
         ((*QA, "id"), DELETED, "$.data[0].paragraphs[0].qas[0]: missing key 'id'"),
-        ((*QA, "question"), ["q"], "$.data[0].paragraphs[0].qas[0].question: expected a string"),
+        ((*QA, "question"), ["q"], "$.data[0].paragraphs[0].qas[0].question must be a string"),
         ((*QA, "answers"), DELETED, "$.data[0].paragraphs[0].qas[0]: missing key 'answers'"),
         (ANSWER, "Honolulu", "$.data[0].paragraphs[0].qas[0].answers[0]: expected a JSON object"),
         ((*ANSWER, "text"), DELETED, "$.data[0].paragraphs[0].qas[0].answers[0]: missing key 'text'"),
         ((*ANSWER, "answer_start"), DELETED,
          "$.data[0].paragraphs[0].qas[0].answers[0]: missing key 'answer_start'"),
         ((*ANSWER, "answer_start"), True,
-         "$.data[0].paragraphs[0].qas[0].answers[0].answer_start: expected an integer"),
+         "$.data[0].paragraphs[0].qas[0].answers[0].answer_start must be an integer"),
     ],
 )
 def test_ingest_squad_structure_errors_name_the_value_at_fault(where, value, message):

@@ -1,6 +1,8 @@
+import ast
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from slotqa import (
     write_dataset,
     write_instances,
 )
+from slotqa import model
 from slotqa.model import decode_line, read_lines, read_predictions, sidecar_path
 
 from helpers import make_dataset, make_instance
@@ -315,7 +318,10 @@ def test_load_dataset_rejects_provenance_log_that_is_not_a_list_of_objects(tmp_p
 
 @pytest.mark.parametrize(
     "meta, message",
-    [({"name": ["a"]}, "name must be a string"), ({"no_answer_token": 5}, "no_answer_token must be")],
+    [({"name": ["a"]}, "name must be a string"), ({"no_answer_token": 5}, "no_answer_token must be"),
+     # a token adapt-noanswer refuses
+     *(({"no_answer_token": token}, "no-answer token must be non-empty and contain no whitespace")
+       for token in ("", "No Answer", "tab\there"))],
 )
 def test_load_dataset_rejects_sidecar_name_or_token_of_the_wrong_type(tmp_path, meta, message):
     path = tmp_path / "odd.jsonl"
@@ -323,6 +329,22 @@ def test_load_dataset_rejects_sidecar_name_or_token_of_the_wrong_type(tmp_path, 
     sidecar_path(path).write_text(json.dumps(meta), encoding="utf-8")
     with pytest.raises(ParseError, match=re.escape(f"{sidecar_path(path)}: {message}")):
         load_dataset(path)
+
+
+def test_bool_is_an_isinstance_argument_only_in_the_json_kind_table():
+    """Every reader checks JSON kinds through ``model.JSON_KINDS``, so none writes its own bool rule."""
+    found = []
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tables = [node for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                  and any(getattr(target, "id", None) == "JSON_KINDS" for target in node.targets)]
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"):
+                continue
+            if any(getattr(node, "id", None) == "bool" for arg in call.args[1:] for node in ast.walk(arg)):
+                owners = [t for t in tables if t.lineno <= call.lineno <= t.end_lineno]
+                found.append((path.name, "JSON_KINDS" if owners else call.lineno))
+    assert sorted(set(found)) == [("model.py", "JSON_KINDS")]
 
 
 def test_load_dataset_rejects_a_sidecar_that_is_not_utf8(tmp_path):
