@@ -87,16 +87,9 @@ def build_challenge_set(
                 split=inst.split,
             )
         )
-    report.output_count = len(out)
     report.extra = {"skipped_no_donor": report.skipped, "seed": seed}
-    result = positives.derive(
-        out,
-        report.operation,
-        {"skipped_no_donor": report.skipped},
-        seed=seed,
-        name=f"{positives.name}-challenge" if positives.name else "challenge",
-    )
-    return result, report
+    return report.finish(positives, out, {"skipped_no_donor": report.skipped}, seed,
+                         name=f"{positives.name}-challenge" if positives.name else "challenge")
 
 
 def build_uwre_plus(
@@ -142,7 +135,6 @@ def build_uwre_plus(
     report = TransformReport(
         operation="build-uwre-plus",
         input_count=len(split_dataset),
-        output_count=len(out),
         parameters={"seed": seed},
         extra={
             "original_negatives": n_negatives,
@@ -152,11 +144,5 @@ def build_uwre_plus(
             "seed": seed,
         },
     )
-    result = split_dataset.derive(
-        out,
-        report.operation,
-        {"removed": to_remove, "inserted": n_inserted},
-        seed=seed,
-        name=f"{split_dataset.name}-plus" if split_dataset.name else "uwre-plus",
-    )
-    return result, report
+    return report.finish(split_dataset, out, {"removed": to_remove, "inserted": n_inserted}, seed,
+                         name=f"{split_dataset.name}-plus" if split_dataset.name else "uwre-plus")

@@ -9,14 +9,13 @@ verifies that each recorded output is reproduced byte for byte.
 Exit codes: 0 success, 1 validation or data failure, 2 usage error
 (unknown flags, missing or unreadable files, schema failures).
 
-Each operation is declared once, by ``@operation`` on its runner: its name,
+Each operation is declared once, by ``@Operation`` on its runner: its name,
 its help text and its flags (:class:`Flag`) in ``--help`` order. The parser,
 the files ``main`` checks, each provenance entry's keys and ``replay`` derive
-from them by one rule: a flag's ``role`` gives the direction of a file it
-names, and its ``key`` says whether provenance records it. The CLI records
-the flags that have both; each runner records its other keyed flags. The
-type ``replay`` requires of a recorded value follows from the same
-declaration (see :class:`Flag`).
+from them: a flag's ``role`` gives the direction of a file it names, and its
+``key`` says whether provenance records it and who records it (see
+:class:`Flag`, which also gives the type ``replay`` requires of a recorded
+value).
 
 A runner takes the parsed arguments (on replay, the recorded values under
 the same names) and returns the line to print, or the exit code once it has
@@ -66,10 +65,12 @@ class Flag:
     """One option of an operation; with ``name`` None, a value recorded without one.
 
     ``options`` are the argparse settings. ``role`` marks every file the
-    operation reads ("in") or writes ("out"). ``key`` is where provenance
-    records the value: ``"seed"`` is the entry's own seed, any other key a
-    parameter. The CLI records the flags with a role and a key, in flag
-    order, after the layer's own keys; the runner records its other keys.
+    operation reads ("in") or writes ("out") and a directory it writes into
+    ("dir"); ``main`` refuses any of them given as "". ``key`` is where
+    provenance records the value: ``"seed"`` is the entry's own seed, any
+    other key a parameter. The CLI records the flags with a role and a key,
+    in flag order, after the layer's own keys; the runner records its other
+    keys.
 
     ``kind`` is the type replay requires of a recorded value. A role makes it
     "a path", ``action="store_true"`` "a boolean", ``type=int`` "an integer",
@@ -270,7 +271,7 @@ def _build_uwre_plus(args) -> str:
            Flag("--config", role="in", required=True, metavar="FILE", help="MixSpec JSON"),
            Flag("--base", "base_path", role="in", required=True, metavar="FILE"),
            Flag("--augment", "augment_path", role="in", required=True, metavar="FILE"),
-           Flag("--out-dir", required=True, metavar="DIR"),
+           Flag("--out-dir", role="dir", required=True, metavar="DIR"),
            # mix_files records one entry per output; it names that output's one-size spec
            Flag(None, "base", dest="base_name"),
            Flag(None, "augment", dest="augment_name"),

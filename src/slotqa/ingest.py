@@ -27,8 +27,9 @@ from .model import (
     SPLITS,
     TransformReport,
     expect,
+    tsv_rows,
 )
-from .templates import PLACEHOLDER, instantiate
+from .templates import instantiate, placeholder_problem
 
 
 def _check_split(split: str) -> None:
@@ -98,9 +99,7 @@ def ingest_squad(document: Any, split: str) -> tuple[Dataset, TransformReport]:
                         split=split,
                     )
                 )
-    report.output_count = len(instances)
-    dataset = Dataset(name=f"squad-{split}").derive(instances, report.operation, report.parameters)
-    return dataset, report
+    return report.finish(Dataset(name=f"squad-{split}"), instances)
 
 
 def ingest_uwre(
@@ -118,14 +117,7 @@ def ingest_uwre(
     instances: list[Instance] = []
     inventory: list[QuestionTemplate] = []
     seen_templates: set[tuple[str, str]] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ParseError(f"line {lineno}: expected 5 tab-separated fields, got {len(parts)}")
-        relation, template, entity, sentence, answer_field = parts
+    for lineno, (relation, template, entity, sentence, answer_field) in tsv_rows(lines, 5):
         for label, value in (
             ("relation", relation),
             ("template", template),
@@ -134,10 +126,8 @@ def ingest_uwre(
         ):
             if not value:
                 raise ParseError(f"line {lineno}: empty {label} field")
-        if template.count(PLACEHOLDER) != 1:
-            raise ParseError(
-                f"line {lineno}: template must contain {PLACEHOLDER!r} exactly once: {template!r}"
-            )
+        if problem := placeholder_problem(template):
+            raise ParseError(f"line {lineno}: template {problem}")
         report.input_count += 1
         key = (relation, template)
         if key not in seen_templates:
@@ -175,6 +165,5 @@ def ingest_uwre(
                 split=split,
             )
         )
-    report.output_count = len(instances)
-    dataset = Dataset(name=f"uwre-{split}").derive(instances, report.operation, report.parameters)
+    dataset, report = report.finish(Dataset(name=f"uwre-{split}"), instances)
     return dataset, inventory, report

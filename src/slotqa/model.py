@@ -211,6 +211,16 @@ class TransformReport:
         self.notes.extend(texts[:room])
         self.notes_dropped += len(texts[room:])
 
+    def finish(self, source: Dataset, instances: Sequence[Instance], parameters: dict | None = None,
+               seed: int | None = None, **overrides: Any) -> tuple[Dataset, "TransformReport"]:
+        """``source`` derived to ``instances`` under this report's operation, and the report.
+
+        The report counts exactly those instances; ``parameters`` default to its own.
+        """
+        self.output_count = len(instances)
+        parameters = self.parameters if parameters is None else parameters
+        return source.derive(instances, self.operation, parameters, seed, **overrides), self
+
     def to_dict(self) -> dict:
         out: dict[str, Any] = {
             "operation": self.operation,
@@ -415,6 +425,20 @@ def read_lines(path: str | Path) -> Iterator[str]:
                             f"{path}: line {lineno}: invalid UTF-8 at byte {e.start}: {e.reason}"
                         ) from e
             yield line
+
+
+def tsv_rows(lines: Iterable[str], fields: int, where: str = "") -> Iterator[tuple[int, list[str]]]:
+    """``(line number, fields)`` of every non-empty line; a line without ``fields`` fields is a ParseError."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != fields:
+            raise ParseError(
+                f"{where}line {lineno}: expected {fields} tab-separated fields, got {len(parts)}"
+            )
+        yield lineno, parts
 
 
 def _read_jsonl(path: str | Path, parse) -> tuple:

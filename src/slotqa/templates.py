@@ -10,9 +10,16 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .model import DataError, ParseError, QuestionTemplate, atomic_output, read_lines
+from .model import DataError, QuestionTemplate, atomic_output, read_lines, tsv_rows
 
 PLACEHOLDER = "XXX"
+
+
+def placeholder_problem(pattern: str) -> str | None:
+    """What is wrong with ``pattern`` as a template, or None if it holds the placeholder exactly once."""
+    if pattern.count(PLACEHOLDER) != 1:
+        return f"must contain {PLACEHOLDER!r} exactly once: {pattern!r}"
+    return None
 
 
 def instantiate(template: QuestionTemplate, entity: str) -> str:
@@ -21,11 +28,8 @@ def instantiate(template: QuestionTemplate, entity: str) -> str:
     The substitution is purely positional; the entity string is inserted
     verbatim, even when it contains the placeholder text itself.
     """
-    if template.pattern.count(PLACEHOLDER) != 1:
-        raise DataError(
-            f"template pattern must contain {PLACEHOLDER!r} exactly once: "
-            f"{template.pattern!r}"
-        )
+    if problem := placeholder_problem(template.pattern):
+        raise DataError(f"template pattern {problem}")
     return template.pattern.replace(PLACEHOLDER, entity)
 
 
@@ -40,23 +44,12 @@ def load_templates(path: str | Path) -> tuple[list[QuestionTemplate], list[str]]
     templates: list[QuestionTemplate] = []
     rejections: list[str] = []
     seen: set[tuple[str, str]] = set()
-    for lineno, line in enumerate(read_lines(path), start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(
-                f"{path}: line {lineno}: expected 2 tab-separated fields, got {len(parts)}"
-            )
-        relation, pattern = parts
+    for lineno, (relation, pattern) in tsv_rows(read_lines(path), 2, f"{path}: "):
         if not relation:
             rejections.append(f"line {lineno}: empty relation")
             continue
-        if pattern.count(PLACEHOLDER) != 1:
-            rejections.append(
-                f"line {lineno}: pattern must contain {PLACEHOLDER!r} exactly once: {pattern!r}"
-            )
+        if problem := placeholder_problem(pattern):
+            rejections.append(f"line {lineno}: pattern {problem}")
             continue
         key = (relation, pattern)
         if key in seen:

@@ -135,8 +135,7 @@ def negativize_squad(
                 origin="squad_negative",
             )
         )
-    report.output_count = len(out)
-    return dataset.derive(out, report.operation, {**report.parameters, "skipped": report.skipped}), report
+    return report.finish(dataset, out, {**report.parameters, "skipped": report.skipped})
 
 
 def insert_no_answer_token(
@@ -171,8 +170,7 @@ def insert_no_answer_token(
             answers = no_answer_sentinel(token)
             report.extra["negatives_marked"] = report.extra.get("negatives_marked", 0) + 1
         out.append(inst._replace(context=prefix + inst.context, answers=answers))
-    report.output_count = len(out)
-    return dataset.derive(out, report.operation, report.parameters, no_answer_token=token), report
+    return report.finish(dataset, out, no_answer_token=token)
 
 
 def strip_no_answer_token(dataset: Dataset) -> tuple[Dataset, TransformReport]:
@@ -191,6 +189,5 @@ def strip_no_answer_token(dataset: Dataset) -> tuple[Dataset, TransformReport]:
         else:
             answers = tuple(Span(s.start - shift, s.text) for s in inst.answers)
         out.append(inst._replace(context=inst.context[shift:], answers=answers))
-    report = TransformReport(operation="strip-noanswer", input_count=len(out), output_count=len(out),
-                             parameters={"token": token})
-    return dataset.derive(out, report.operation, report.parameters, no_answer_token=None), report
+    report = TransformReport(operation="strip-noanswer", input_count=len(out), parameters={"token": token})
+    return report.finish(dataset, out, no_answer_token=None)

@@ -367,6 +367,19 @@ def test_an_empty_file_flag_is_refused_before_anything_is_written(tmp_path, uwre
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_mix_refuses_an_empty_out_dir_before_anything_is_written(tmp_path, capsys, monkeypatch):
+    base, augment = tmp_path / "base.jsonl", tmp_path / "augment.jsonl"
+    _jsonl(base, ["b0"])
+    _jsonl(augment, ["a0"])
+    argv = _mix_args(tmp_path, base, augment, [1])
+    argv[argv.index("--out-dir") + 1] = ""
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: --out-dir must be a path\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 _NOT_UTF8 = b'{"id": "caf\xe9"}'
 _TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
 
@@ -437,6 +450,34 @@ def test_a_tsv_file_that_is_not_utf8_names_its_line(tmp_path, uwre_file, reader,
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"error: {bad}: line 2: invalid UTF-8 at byte {byte}: invalid continuation byte\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("reader, fields", [("ingest-uwre", 5), ("build-challenge", 2)])
+def test_both_tsv_readers_skip_blank_lines_and_crlf_alike(tmp_path, uwre_file, capsys, reader, fields):
+    data, templates = tmp_path / "d.jsonl", tmp_path / "t.tsv"
+    templates.write_text("place_of_birth\tWhere was XXX born?\n", encoding="utf-8")
+    assert main(["ingest-uwre", "--in", str(uwre_file), "--split", "train", "--out", str(data)]) == 0
+
+    def run(tsv, out):
+        argv = {
+            "ingest-uwre": ["ingest-uwre", "--in", tsv, "--split", "train", "--out", out],
+            "build-challenge": ["build-challenge", "--in", data, "--templates", tsv, "--seed", "1",
+                                "--out", out],
+        }[reader]
+        return main([str(arg) for arg in argv])
+
+    # the same rows with \r\n endings and trailing blank lines read the same
+    lf, crlf = (uwre_file if reader == "ingest-uwre" else templates), tmp_path / "crlf.tsv"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n") + b"\r\n\n")
+    assert run(lf, tmp_path / "lf.jsonl") == 0 and run(crlf, tmp_path / "crlf.jsonl") == 0
+    assert (tmp_path / "lf.jsonl").read_bytes() == (tmp_path / "crlf.jsonl").read_bytes()
+    capsys.readouterr()
+    # blank lines count towards the line number of a row with the wrong number of fields
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"\r\n\nr\tWhere was XXX born?\tAda\r\n")
+    assert run(bad, tmp_path / "o.jsonl") == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: line 3: expected {fields} tab-separated fields, got 3\n")
+    assert not (tmp_path / "o.jsonl").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -20,9 +20,9 @@ from slotqa.cli import OPERATIONS, main
 HELP = Path(__file__).parent / "fixtures" / "help.txt"
 
 
-# Python 3.10.13, 3.11.7 and 3.12.1 print these bytes alike; 3.13's argparse
-# lays out the command column more widely, so its text differs from the copy
-@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse 3.13 formats help differently")
+# Python 3.10.13, 3.11.7, 3.12.1 and 3.13.13 print the subcommands' bytes alike;
+# 3.13's argparse lays out the top level's command column more widely, so only
+# that block differs from the copy there
 def test_help_is_the_committed_text(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     rendered = []
@@ -31,4 +31,8 @@ def test_help_is_the_committed_text(capsys, monkeypatch):
             main(argv)
         assert exc.value.code == 0
         rendered.append(f"$ slotqa {' '.join(argv)}\n{capsys.readouterr().out}")
-    assert "".join(rendered) == HELP.read_text(encoding="utf-8")
+    expected = HELP.read_text(encoding="utf-8")
+    if sys.version_info >= (3, 13):
+        del rendered[0]
+        expected = expected[expected.index(rendered[0].partition("\n")[0]):]
+    assert "".join(rendered) == expected

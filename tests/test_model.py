@@ -16,11 +16,18 @@ from slotqa import (
     ParseError,
     Prediction,
     Span,
+    build_challenge_set,
+    build_uwre_plus,
     dumps_instance,
+    ingest_squad,
+    ingest_uwre,
+    insert_no_answer_token,
     instance_from_dict,
     instance_to_dict,
     load_dataset,
+    negativize_squad,
     read_instances,
+    strip_no_answer_token,
     validate_dataset,
     write_dataset,
     write_instances,
@@ -345,6 +352,82 @@ def test_bool_is_an_isinstance_argument_only_in_the_json_kind_table():
                 owners = [t for t in tables if t.lineno <= call.lineno <= t.end_lineno]
                 found.append((path.name, "JSON_KINDS" if owners else call.lineno))
     assert sorted(set(found)) == [("model.py", "JSON_KINDS")]
+
+
+def _is_output_count_store(node):
+    return isinstance(node, ast.Attribute) and node.attr == "output_count" and isinstance(node.ctx, ast.Store)
+
+
+def _is_placeholder_count(node):
+    return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "count"
+            and any(getattr(arg, "id", None) == "PLACEHOLDER" for arg in node.args))
+
+
+def _is_tab_split(node):
+    return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("split", "rsplit")
+            and any(getattr(arg, "value", None) == "\t" for arg in node.args))
+
+
+@pytest.mark.parametrize("match, owners", [
+    # a report counts exactly what TransformReport.finish derives; the mixer, with no instance list, its lines
+    (_is_output_count_store, [("model.py", "TransformReport")]),
+    (lambda node: isinstance(node, ast.keyword) and node.arg == "output_count", [("mixer.py", "mix_files")]),
+    (_is_placeholder_count, [("templates.py", "placeholder_problem")]),
+    (_is_tab_split, [("model.py", "tsv_rows")]),
+], ids=["output_count_assigned", "output_count_passed", "placeholder_counted", "tsv_line_split"])
+def test_each_rule_is_stated_in_one_place(match, owners):
+    """Every node of ``src/slotqa`` that ``match`` accepts lies in a top-level definition of ``owners``."""
+    found = set()
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if match(node):
+                top = [d for d in tree.body if d.lineno <= node.lineno <= d.end_lineno]
+                found.add((path.name, getattr(top[0], "name", None)))
+    assert sorted(found) == owners
+
+
+_UWRE_LINES = [
+    "born_in\tWhere was XXX born?\tAda\tAda was born in Leeds.\tLeeds\n",
+    "born_in\tWhere was XXX born?\tBo\tBo was born in York.\tYork\n",
+    "born_in\tWhere was XXX born?\tCy\tCy was born in Hull.\tParis\n",  # dropped: not in the sentence
+    "born_in\tWhere was XXX born?\tDee\tDee liked tea.\t\n",
+    "born_in\tWhere was XXX born?\tEd\tEd wrote letters.\t\n",
+]
+
+
+def _squad():
+    document = json.loads((Path(__file__).parent / "fixtures" / "synthetic_squad.json").read_text("utf-8"))
+    return ingest_squad(document, "train")
+
+
+def _adapted():
+    return insert_no_answer_token(negativize_squad(_squad()[0])[0])
+
+
+def _challenge():
+    dataset, templates, _ = ingest_uwre(_UWRE_LINES, "train")
+    positives = tuple(inst for inst in dataset if inst.origin == "uwre_positive")
+    return build_challenge_set(dataset._replace(instances=positives), templates, 7)
+
+
+# each layer that returns a dataset, run on a small input
+_LAYERS = {
+    "ingest_squad": _squad,
+    "ingest_uwre": lambda: ingest_uwre(_UWRE_LINES, "train")[::2],
+    "negativize_squad": lambda: negativize_squad(_squad()[0]),
+    "insert_no_answer_token": _adapted,
+    "strip_no_answer_token": lambda: strip_no_answer_token(_adapted()[0]),
+    "build_challenge_set": _challenge,
+    "build_uwre_plus": lambda: build_uwre_plus(ingest_uwre(_UWRE_LINES, "train")[0], _challenge()[0], 7),
+}
+
+
+@pytest.mark.parametrize("layer", _LAYERS)
+def test_a_transform_report_counts_and_names_the_dataset_it_comes_with(layer):
+    result, report = _LAYERS[layer]()
+    assert report.output_count == len(result) > 0
+    assert report.operation == result.provenance_log[-1]["operation"]
 
 
 def test_load_dataset_rejects_a_sidecar_that_is_not_utf8(tmp_path):
