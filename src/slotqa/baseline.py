@@ -37,10 +37,11 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Mapping, NamedTuple
 
 from .model import IDF_SOURCES, Dataset, DataError, Instance, Prediction
+from .parallel import available_cpus, fork_map
 from .transforms import segment_sentences
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -76,8 +77,17 @@ def _token_columns(text: str) -> tuple[list[str], list[int], list[int]]:
     return list(map(str.lower, parts[1::2])), bounds[0:-1:2], bounds[1::2]
 
 
+# ASCII letters lowered and digits kept, every other byte a space: on ASCII
+# text, the tokens are then what split() returns
+_ASCII_TOKENS = bytes(
+    c | 0x20 if chr(c).isalpha() else c if chr(c).isdigit() else 0x20 for c in range(128)
+) + b" " * 128
+
+
 def _token_set(text: str) -> set[str]:
     """The distinct lowercased tokens of ``text``, without offsets."""
+    if text.isascii():
+        return set(text.encode().translate(_ASCII_TOKENS).decode().split())
     return set(map(str.lower, _TOKEN_RE.findall(text)))
 
 
@@ -197,11 +207,22 @@ def predict(instance: Instance, config: BaselineConfig, idf_table: IdfTable) -> 
     return Prediction(instance.id, instance.context[best[1] : best[2]])
 
 
+# Each forked child predicts at least this many flagged instances.
+_FORK_MIN_FLAGGED = 500
+
+
 def predict_dataset(
     dataset: Dataset, config: BaselineConfig, idf_table: IdfTable | None = None
 ) -> list[Prediction]:
     """``[predict(i, config, table) for i in dataset]``, where ``table`` is
-    ``idf_table`` or else the one ``config.idf_source`` names."""
+    ``idf_table`` or else the one ``config.idf_source`` names.
+
+    The survey runs in this process. The flagged instances are then split
+    into at most one contiguous chunk per available CPU, each of at least
+    ``_FORK_MIN_FLAGGED``, predicted through
+    :func:`~slotqa.parallel.fork_map`; each child inherits the table and sends
+    back only its answers.
+    """
     config.validate()
     instances = dataset.instances
     count_df = idf_table is None and config.idf_source == "self_corpus"
@@ -215,7 +236,10 @@ def predict_dataset(
             answerable[i] = 1
     if idf_table is None:
         idf_table = IdfTable(n_docs=len(instances), doc_freq=doc_freq) if count_df else uniform_idf()
-    return [
-        predict(inst, config, idf_table) if flag else Prediction(inst.id, None)
-        for inst, flag in zip(instances, answerable)
-    ]
+    flagged = [inst for inst, flag in zip(instances, answerable) if flag]
+    parts = max(1, min(available_cpus(), len(flagged) // _FORK_MIN_FLAGGED))
+    chunks = [flagged[len(flagged) * k // parts : len(flagged) * (k + 1) // parts] for k in range(parts)]
+    answers = chain.from_iterable(
+        fork_map(lambda chunk: [predict(inst, config, idf_table).answer for inst in chunk], chunks)
+    )
+    return [Prediction(inst.id, next(answers) if flag else None) for inst, flag in zip(instances, answerable)]

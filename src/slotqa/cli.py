@@ -224,15 +224,25 @@ def _adapt_noanswer(args) -> str:
            _SEED, _OUT, _REPORT)
 def _build_challenge(args) -> str:
     from .challenge import build_challenge_set
-    from .templates import load_templates
+    from .templates import read_templates
 
     dataset = _load(args.in_path)
     positives = tuple(inst for inst in dataset if inst.origin == "uwre_positive")
     if not positives:
         raise DataError(f"{args.in_path}: no uwre_positive instances to build from")
-    templates, rejections = load_templates(args.templates)
+    templates, rejected = read_templates(args.templates)
+    # a failed run writes no report, so the message carries the rejections;
+    # a positive without a relation is left to build_challenge_set to refuse
+    usable = {template.relation for template in templates}
+    for relation in dict.fromkeys(inst.relation for inst in positives):
+        if relation and relation not in usable:
+            notes = [note for rejected_relation, note in rejected if rejected_relation == relation]
+            if not notes:
+                raise DataError(f"{args.templates}: no question template for relation {relation!r}")
+            raise DataError(f"{args.templates}: no usable question template for relation {relation!r}"
+                            f" ({len(notes)} row{'s' * (len(notes) > 1)} rejected: {notes[0]})")
     result, report = build_challenge_set(dataset._replace(instances=positives), templates, args.seed)
-    report.note(*rejections)
+    report.note(*(note for _, note in rejected))
     wrote = _save(args, result, report, what="challenge instances")
     return f"{wrote} ({report.extra['skipped_no_donor']} positives had no donor)"
 
@@ -347,61 +357,96 @@ def _validate(args) -> str | int:
 @Operation("replay", "re-execute a provenance log and verify outputs",
            Flag("--log", role="in", required=True, metavar="FILE", help="a .prov.json sidecar"))
 def _replay(args) -> int:
+    """Check every step in order up to the first failing check, then run the checked steps.
+
+    The steps only read recorded files, so each runs in a child of its own
+    (:func:`~slotqa.parallel.fork_map`); their lines are printed in step
+    order, as a serial replay prints them, and then the failed check raises.
+    """
+    import contextlib
     import filecmp
     import tempfile
+
+    from .parallel import fork_map
 
     log = parse_sidecar(args.log).provenance_log
     if not log:
         raise ParseError(f"{args.log}: expected a sidecar object with a provenance_log")
-    mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for i, entry in enumerate(log):
-            name = entry.get("operation")
-            op = OPERATIONS.get(name) if isinstance(name, str) else None
-            if op is None or not op.recorded:
-                print(f"skip: step {i} ({name}) is not a replayable operation")
-                continue
-            where = f"{args.log}: step {i} ({name})"
-            parameters = expect(entry.get("parameters", {}), "an object", f"{where}: parameters")
-            if "out" not in parameters:
-                print(f"skip: step {i} ({name}) records no output path")
-                continue
-            workdir = Path(tmp) / f"step{i:03d}"
-            # the runner's arguments: every option the log does not record is off
-            values, outputs = {flag.dest: None for flag in op.flags}, []
-            for flag in op.recorded:
-                record, prefix = (entry, "") if flag.key == "seed" else (parameters, "parameters.")
-                # a key that may be null may also be missing, as from logs written before it existed
-                if flag.key not in record and not flag.kind.endswith(" or null"):
-                    raise ParseError(f"{where}: missing required key '{prefix}{flag.key}'")
-                value = values[flag.dest] = expect(record.get(flag.key), flag.kind,
-                                                   f"{where}: '{prefix}{flag.key}'", _KINDS)
-                choices = flag.options.get("choices")
-                if choices and value not in choices:
-                    raise ParseError(f"{where}: '{prefix}{flag.key}' must be one of {list(choices)}")
-                if flag.role == "out" and value:  # written again in a directory of its own: names may repeat
-                    candidate = workdir / flag.dest / Path(value).name
-                    candidate.parent.mkdir(parents=True)
-                    outputs.append((Path(value), candidate))
-                    values[flag.dest] = str(candidate)
-            for flag in op.recorded:
-                if flag.role == "in" and not Path(values[flag.dest]).exists():
-                    raise ParseError(f"{where}: missing input {flag.key}={values[flag.dest]!r}")
-            for recorded, _ in outputs:
-                if not recorded.exists():
-                    raise ParseError(f"{where}: missing recorded output {recorded}")
+        steps, failed = [], None  # a skip line, or (step, name, op, runner's values, outputs)
+        try:
+            for i, entry in enumerate(log):
+                steps.append(_replay_step(args.log, i, entry, Path(tmp) / f"step{i:03d}"))
+        except (ParseError, OSError) as e:  # raised once the steps before it have run
+            failed = e
+
+        def run(step) -> list[bool]:
+            _, _, op, values, outputs = step
             op.run(argparse.Namespace(op=op, **values))
-            for recorded, candidate in outputs:
-                # a mismatch: an output not written again, or anything but two regular files of the same bytes
-                if candidate.exists() and filecmp.cmp(recorded, candidate, shallow=False):
-                    print(f"ok: step {i} ({name}) reproduces {recorded}")
-                else:
-                    print(f"MISMATCH: step {i} ({name}) does not reproduce {recorded}")
-                    mismatches += 1
+            # a mismatch: an output not written again, or anything but two regular files of the same bytes
+            return [candidate.exists() and filecmp.cmp(recorded, candidate, shallow=False)
+                    for recorded, candidate in outputs]
+
+        mismatches = 0
+        runs = fork_map(run, [step for step in steps if not isinstance(step, str)])
+        with contextlib.closing(runs):
+            for step in steps:
+                if isinstance(step, str):
+                    print(step)
+                    continue
+                i, name, _, _, outputs = step
+                for (recorded, _), same in zip(outputs, next(runs)):
+                    if same:
+                        print(f"ok: step {i} ({name}) reproduces {recorded}")
+                    else:
+                        print(f"MISMATCH: step {i} ({name}) does not reproduce {recorded}")
+                        mismatches += 1
+        if failed is not None:
+            raise failed
     if mismatches:
         print(f"{mismatches} outputs differ", file=sys.stderr)
         return 1
     return 0
+
+
+def _replay_step(log_path, i, entry, workdir):
+    """Step ``i`` of a log checked for replay: its skip line, or what running it needs.
+
+    Checks the recorded keys, their types and choices, then the inputs, then
+    the recorded outputs; the first that fails raises :class:`ParseError`.
+    """
+    name = entry.get("operation")
+    op = OPERATIONS.get(name) if isinstance(name, str) else None
+    if op is None or not op.recorded:
+        return f"skip: step {i} ({name}) is not a replayable operation"
+    where = f"{log_path}: step {i} ({name})"
+    parameters = expect(entry.get("parameters", {}), "an object", f"{where}: parameters")
+    if "out" not in parameters:
+        return f"skip: step {i} ({name}) records no output path"
+    # the runner's arguments: every option the log does not record is off
+    values, outputs = {flag.dest: None for flag in op.flags}, []
+    for flag in op.recorded:
+        record, prefix = (entry, "") if flag.key == "seed" else (parameters, "parameters.")
+        # a key that may be null may also be missing, as from logs written before it existed
+        if flag.key not in record and not flag.kind.endswith(" or null"):
+            raise ParseError(f"{where}: missing required key '{prefix}{flag.key}'")
+        value = values[flag.dest] = expect(record.get(flag.key), flag.kind,
+                                           f"{where}: '{prefix}{flag.key}'", _KINDS)
+        choices = flag.options.get("choices")
+        if choices and value not in choices:
+            raise ParseError(f"{where}: '{prefix}{flag.key}' must be one of {list(choices)}")
+        if flag.role == "out" and value:  # written again in a directory of its own: names may repeat
+            candidate = workdir / flag.dest / Path(value).name
+            candidate.parent.mkdir(parents=True)
+            outputs.append((Path(value), candidate))
+            values[flag.dest] = str(candidate)
+    for flag in op.recorded:
+        if flag.role == "in" and not Path(values[flag.dest]).exists():
+            raise ParseError(f"{where}: missing input {flag.key}={values[flag.dest]!r}")
+    for recorded, _ in outputs:
+        if not recorded.exists():
+            raise ParseError(f"{where}: missing recorded output {recorded}")
+    return i, name, op, values, outputs
 
 
 def build_parser() -> argparse.ArgumentParser:

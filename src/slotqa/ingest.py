@@ -135,12 +135,13 @@ def ingest_uwre(
             inventory.append(QuestionTemplate(relation, template))
         question = instantiate(QuestionTemplate(relation, template), entity)
         answers = answer_field.split("|") if answer_field else []
+        # structural, so checked before any answer is looked for
+        if "" in answers:
+            raise ParseError(f"line {lineno}: empty answer string")
         spans: list[Span] = []
         seen_spans: set[tuple[int, str]] = set()
         bad = None
         for answer in answers:
-            if not answer:
-                raise ParseError(f"line {lineno}: empty answer string")
             start = sentence.find(answer)
             if start < 0:
                 bad = f"line {lineno}: answer {answer!r} not found in sentence"

@@ -12,9 +12,7 @@ from __future__ import annotations
 import contextlib
 import os
 import random
-import sys
 from array import array
-from itertools import repeat
 from pathlib import Path
 from typing import Any, Iterator, NamedTuple
 
@@ -96,21 +94,15 @@ def _ranks(population: int, seed: int) -> array:
     return rank
 
 
-# Each scan worker gets at least this many bytes. Forking two workers and
-# shutting them down costs about 0.03 s, so on 2 cores two workers break even
-# with a serial scan at about 4.5 MiB of JSONL (4 MiB: 0.079 s serial against
-# 0.090 s; 5 MiB: 0.094 against 0.077 s; 8 MiB: 0.140 against 0.097 s).
-# Each worker gets about twice its 2.25 MiB break-even share, a margin for
-# slower forks, so files under 8 MiB are scanned in this process.
-_RANGE_MIN_BYTES = 4 << 20
+# Each forked scan child gets at least this many bytes. On bench-like mix
+# lines, with 2 shared CPUs, two children (fork_map: fork, pipe, pickled ids)
+# break even with a serial scan at about 2.2 MiB of JSONL (medians of 15
+# alternating scans: 2 MiB 0.0175 s serial against 0.0185 s; 3 MiB 0.0257
+# against 0.0203 s; 4 MiB 0.0341 against 0.0248 s; 8 MiB 0.0658 against
+# 0.0461 s). Each child gets about twice its 1.1 MiB break-even share, a
+# margin for slower forks, so files under 4 MiB are scanned in this process.
+_RANGE_MIN_BYTES = 2 << 20
 _BLOCK_BYTES = 1 << 18
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _line_blocks(path: Path, start: int = 0, stop: int | None = None) -> Iterator[list[bytes]]:
@@ -164,8 +156,8 @@ def _scan_range(
     Returns ``(line count, ids, error)``. The ids are those also in
     ``base_ids``, or every id when ``base_ids`` is None. ``error`` is None,
     or the message for the first invalid line; the scan stops there, so
-    that line is the last one counted. Runs in a worker process on large
-    inputs, so it takes and returns only picklable values.
+    that line is the last one counted. Runs in a forked child on large
+    inputs, so it returns only picklable values.
     """
     count = 0
     ids = []
@@ -187,72 +179,38 @@ def _scan_range(
     return count, ids, None
 
 
-def _scan(path: Path, base_ids: set[str] | None, parts: int, pool) -> tuple[int, list[str]]:
+def _scan(path: Path, base_ids: set[str] | None, parts: int) -> tuple[int, list[str]]:
     """Line count and ids (as in :func:`_scan_range`) of a whole JSONL file.
 
-    With a pool, the file is split into ``parts`` ranges scanned in
-    parallel. The first invalid line in file order raises
-    :class:`ParseError` with its line number in the whole file.
+    The file is split into at most ``parts`` ranges, scanned through
+    :func:`~slotqa.parallel.fork_map`. The first invalid line in file order
+    raises :class:`ParseError` with its line number in the whole file.
     """
-    starts, stops = zip(*_ranges(path, parts))
-    run = pool.map if pool is not None and len(starts) > 1 else map
+    from .parallel import fork_map
+
     count = 0
     ids: list[str] = []
-    for lines, found, error in run(_scan_range, repeat(path), starts, stops, repeat(base_ids)):
-        count += lines
-        if error is not None:
-            raise ParseError(f"{path}: line {count}: {error}")
-        ids.extend(found)
+    scans = fork_map(lambda bounds: _scan_range(path, *bounds, base_ids), _ranges(path, parts))
+    with contextlib.closing(scans):
+        for lines, found, error in scans:
+            count += lines
+            if error is not None:
+                raise ParseError(f"{path}: line {count}: {error}")
+            ids.extend(found)
     return count, ids
 
 
-def _scan_pool(workers: int):
-    """A pool of ``workers`` forked processes, or a null context where none may fork.
-
-    Only a single-threaded process on Linux forks: a child forked while
-    another thread holds a lock would inherit it held. A daemonic process
-    (a ``multiprocessing.Pool`` worker) may not start children.
-    """
-    # imported here so that commands which never scan a large file do not pay for it
-    import multiprocessing
-    import threading
-    from concurrent.futures import ProcessPoolExecutor
-
-    if (
-        sys.platform != "linux"
-        or threading.active_count() > 1
-        or multiprocessing.current_process().daemon
-    ):
-        return contextlib.nullcontext()
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-
-
 def _scan_inputs(base_path: Path, augment_path: Path) -> tuple[int, int, list[str]]:
-    """Base and augment line counts and colliding ids, scanned in parallel if large.
+    """Base and augment line counts and colliding ids, each file scanned in parallel if large."""
+    from .parallel import available_cpus
 
-    A pool that cannot start, or whose workers die, falls back to the serial
-    scan, which finds the same ids and raises the same errors.
-    """
-    cpus = _available_cpus()
+    cpus = available_cpus()
     base_parts, augment_parts = (
         max(1, min(cpus, os.path.getsize(path) // _RANGE_MIN_BYTES))
         for path in (base_path, augment_path)
     )
-
-    def scan(pool) -> tuple[int, int, list[str]]:
-        base_count, base_ids = _scan(base_path, None, base_parts, pool)
-        return (base_count, *_scan(augment_path, set(base_ids), augment_parts, pool))
-
-    workers = max(base_parts, augment_parts)
-    if workers > 1:
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            with _scan_pool(workers) as pool:
-                return scan(pool)
-        except (OSError, BrokenProcessPool):
-            pass
-    return scan(None)
+    base_count, base_ids = _scan(base_path, None, base_parts)
+    return (base_count, *_scan(augment_path, set(base_ids), augment_parts))
 
 
 def mix_files(
@@ -269,16 +227,15 @@ def mix_files(
     was read from. Lines are copied verbatim, so inputs must already be
     canonical JSONL. Each input is read twice, whatever the number of sizes:
     once to validate every line and count the augment, once to copy. Files
-    of 8 MiB or more are validated by worker processes, one per available
-    CPU and per 4 MiB. The workers are forked: they share this process's
-    pages instead of starting an interpreter, and a calling script needs no
-    ``if __name__ == "__main__"`` guard. Off Linux, while other threads are
-    alive, in a daemonic process, or if no pool can be used, the scan runs
-    in this process. Memory stays bounded by the base ids and a rank table
-    of 4 bytes per augment line, never by instance objects; each scan worker
-    receives its own copy of the base ids. The rank table, and the shuffle
-    that draws it, is built only when some size is below the augment's line
-    count, so replaying an all-taking mix does no shuffle.
+    of 4 MiB or more are validated in ranges by forked children
+    (:func:`~slotqa.parallel.fork_map`), one per available CPU and per 2 MiB;
+    they share this process's pages instead of starting an interpreter, and a
+    calling script needs no ``if __name__ == "__main__"`` guard. Where
+    ``fork_map`` does not fork, the ranges are scanned in this process with the
+    same results. Memory stays bounded by the base ids and a rank table of 4
+    bytes per augment line, never by instance objects. The rank table, and
+    the shuffle that draws it, is built only when some size is below the
+    augment's line count, so replaying an all-taking mix does no shuffle.
     """
     spec.validate()
     base_path, augment_path = Path(base_path), Path(augment_path)

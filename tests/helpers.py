@@ -7,6 +7,7 @@ than itself.
 
 from __future__ import annotations
 
+import os
 import random
 import re
 import string
@@ -264,3 +265,17 @@ def oracle_sample(population, k, seed):
     order = list(range(population))
     random.Random(seed).shuffle(order)
     return sorted(order[:k])
+
+
+def record_forks(monkeypatch) -> list[int]:
+    """Patch ``os.fork`` to record, in the returned list, the pid of every child forked."""
+    pids, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +14,10 @@ from slotqa import (
     predict_dataset,
     uniform_idf,
 )
-from slotqa import baseline
+from slotqa import baseline, parallel
 from slotqa.baseline import STOP_WORDS, tokenize
 
-from helpers import make_dataset, make_instance, oracle_best_span, oracle_tokenize
+from helpers import make_dataset, make_instance, oracle_best_span, oracle_tokenize, record_forks
 
 FIG_CONTEXT = "President Obama was born in Honolulu, Hawaii."
 
@@ -59,6 +60,14 @@ def test_tokenize_matches_finditer_oracle_fixed(text):
 @given(st.text(max_size=300))
 def test_tokenize_matches_finditer_oracle(text):
     assert tokenize(text) == oracle_tokenize(text)
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet=st.characters(max_codepoint=127), max_size=300))
+def test_ascii_token_sets_equal_the_regex_token_sets(text):
+    # every ASCII code point, so "_", digits and control characters too
+    assert baseline._token_set(text) == set(map(str.lower, baseline._TOKEN_RE.findall(text)))
+    assert baseline._token_set(text) == {word for word, _, _ in oracle_tokenize(text)}
 
 
 def test_config_validation():
@@ -380,6 +389,39 @@ def test_predict_dataset_equals_predict_per_instance(ds, idf_source, supplied, t
         expected_table = table
     expected = [predict(inst, config, expected_table) for inst in ds]
     assert predict_dataset(ds, config, table) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ds=_datasets(),
+    idf_source=st.sampled_from(["self_corpus", "uniform"]),
+    threshold=st.sampled_from([0.0, 1.0, 3.0]),
+    cpus=st.integers(min_value=2, max_value=4),
+)
+def test_predict_dataset_in_forked_chunks_equals_the_serial_result(ds, idf_source, threshold, cpus):
+    config = BaselineConfig(no_answer_threshold=threshold, idf_source=idf_source)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(parallel, "_may_fork", lambda: False)
+        serial = predict_dataset(ds, config)
+    with pytest.MonkeyPatch.context() as m:
+        # every flagged instance may be a chunk of its own
+        m.setattr(baseline, "_FORK_MIN_FLAGGED", 1)
+        m.setattr(parallel, "available_cpus", lambda: cpus)
+        assert predict_dataset(ds, config) == serial
+
+
+def test_predict_dataset_forks_one_child_per_chunk_of_flagged_instances(monkeypatch):
+    instances = [fig_instance(id=f"f{i}", question="Where was Obama born?") for i in range(5)]
+    ds = make_dataset(*instances, make_instance(id="none", question="Where was Obama born?", context="No."))
+    config = BaselineConfig()
+    serial = [predict(inst, config, build_idf(ds)) for inst in ds]
+    forks = record_forks(monkeypatch)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    assert predict_dataset(ds, config) == serial
+    assert forks == []  # five flagged instances: one chunk of at least _FORK_MIN_FLAGGED
+    monkeypatch.setattr(baseline, "_FORK_MIN_FLAGGED", 2)
+    assert predict_dataset(ds, config) == serial
+    assert len(forks) == (2 if sys.platform == "linux" else 0)
 
 
 def test_predict_dataset_predicts_only_instances_that_share_a_content_term(monkeypatch):

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from slotqa import Prediction, ingest_uwre, load_dataset, read_predictions, write_dataset, write_predictions
-from slotqa import Dataset, Instance, Span, cli
+from slotqa import Dataset, Instance, Span, cli, parallel
 from slotqa.cli import main
 from slotqa.model import ORIGINS, sidecar_path
+
+from helpers import record_forks
 
 SQUAD_DOC = {
     "version": "1.1",
@@ -632,6 +634,66 @@ def test_replay_reproduces_every_operation_and_optional_flag(tmp_path, uwre_file
         assert capsys.readouterr().out.splitlines() == [
             f"ok: step {step} ({operation}) reproduces {path}" for step, operation, path in outputs
         ]
+
+
+def _squad_chain_log(kind):
+    """In the working directory, a three-step SQuAD chain's log changed as ``kind`` says; its path."""
+    Path("squad.json").write_text(json.dumps(SQUAD_DOC), encoding="utf-8")
+    for argv in (["ingest-squad", "--in", "squad.json", "--split", "train", "--out", "pos.jsonl"],
+                 ["negativize", "--in", "pos.jsonl", "--keep-positives", "--out", "neg.jsonl"],
+                 ["adapt-noanswer", "--in", "neg.jsonl", "--out", "adapted.jsonl"]):
+        assert main(argv) == 0
+    log = json.loads(Path("adapted.jsonl.prov.json").read_text(encoding="utf-8"))
+    steps = log["provenance_log"]
+    if kind == "mismatch":
+        Path("adapted.jsonl").write_bytes(Path("adapted.jsonl").read_bytes().replace(b"Paris", b"Rome"))
+    elif kind == "skip":
+        steps.insert(1, {"operation": "mystery", "parameters": {}, "seed": None})
+        steps.insert(3, {"operation": "negativize", "parameters": {"in": "pos.jsonl"}, "seed": None})
+    elif kind == "check fails at step 2":
+        steps[2]["parameters"]["token"] = 5
+    elif kind == "step 1 fails when it runs":
+        Path("pos.jsonl").write_bytes(Path("pos.jsonl").read_bytes() + b"{\n")
+    Path("log.prov.json").write_text(json.dumps(log), encoding="utf-8")
+    return "log.prov.json"
+
+
+@pytest.mark.parametrize(
+    "kind", ["matching", "mismatch", "skip", "check fails at step 2", "step 1 fails when it runs"]
+)
+def test_replay_in_forked_steps_prints_what_a_serial_replay_prints(tmp_path, capsys, monkeypatch, kind):
+    monkeypatch.chdir(tmp_path)
+    log = _squad_chain_log(kind)
+    forks = record_forks(monkeypatch)
+    forked = _replay(log, capsys)
+    with monkeypatch.context() as m:
+        m.setattr(parallel, "_may_fork", lambda: False)
+        assert _replay(log, capsys) == forked
+    # one child per step that runs
+    runs = {"check fails at step 2": 2, "step 1 fails when it runs": 3}.get(kind, 3)
+    assert len(forks) == (runs if sys.platform == "linux" else 0)
+    ok = [f"ok: step {i} ({name}) reproduces {out}" for i, name, out in
+          [(0, "ingest-squad", "pos.jsonl"), (1, "negativize", "neg.jsonl"), (2, "adapt-noanswer", "adapted.jsonl")]]
+    code, out, err = forked
+    if kind == "matching":
+        assert (code, out.splitlines(), err) == (0, ok, "")
+    elif kind == "mismatch":
+        assert (code, out.splitlines(), err) == (
+            1, [*ok[:2], "MISMATCH: step 2 (adapt-noanswer) does not reproduce adapted.jsonl"], "1 outputs differ\n"
+        )
+    elif kind == "skip":
+        assert (code, out.splitlines(), err) == (0, [
+            ok[0], "skip: step 1 (mystery) is not a replayable operation",
+            ok[1].replace("step 1", "step 2"), "skip: step 3 (negativize) records no output path",
+            ok[2].replace("step 2", "step 4"),
+        ], "")
+    elif kind == "check fails at step 2":
+        assert (code, out.splitlines(), err) == (
+            2, ok[:2], "error: log.prov.json: step 2 (adapt-noanswer): 'parameters.token' must be a string\n"
+        )
+    else:  # step 0's output is step 1's input
+        assert (code, out.splitlines()) == (2, ["MISMATCH: step 0 (ingest-squad) does not reproduce pos.jsonl"])
+        assert err.startswith("error: pos.jsonl: line ")
 
 
 def test_replay_missing_input_is_usage_error(tmp_path, squad_file):
@@ -1278,6 +1340,26 @@ def test_console_entry_point_usage_errors():
     )
     assert proc.returncode == 0
     assert "--match" in proc.stdout
+
+
+@pytest.mark.parametrize("rows, detail", [
+    ("place_of_birth\tWho XXX XXX\n",
+     "no usable question template for relation 'place_of_birth'"
+     " (1 row rejected: line 1: pattern must contain 'XXX' exactly once: 'Who XXX XXX')"),
+    ("place_of_birth\tWho?\nother\tWho is XXX?\nplace_of_birth\tXXX XXX\n",
+     "no usable question template for relation 'place_of_birth'"
+     " (2 rows rejected: line 1: pattern must contain 'XXX' exactly once: 'Who?')"),
+    ("other\tWho is XXX?\n", "no question template for relation 'place_of_birth'"),
+], ids=["one rejected", "two rejected", "none given"])
+def test_build_challenge_names_the_templates_and_their_rejections(tmp_path, uwre_file, capsys, rows, detail):
+    data, templates, out = tmp_path / "uwre.jsonl", tmp_path / "t.tsv", tmp_path / "c.jsonl"
+    assert main(["ingest-uwre", "--in", str(uwre_file), "--split", "dev", "--out", str(data)]) == 0
+    templates.write_text(rows, encoding="utf-8")
+    capsys.readouterr()
+    argv = ["build-challenge", "--in", str(data), "--templates", str(templates), "--seed", "5", "--out", str(out)]
+    assert main([*argv, "--report", str(tmp_path / "report.json")]) == 1
+    assert capsys.readouterr().err == f"error: {templates}: {detail}\n"
+    assert not out.exists() and not (tmp_path / "report.json").exists()
 
 
 def test_build_uwre_plus_names_the_file_it_cannot_build_from(tmp_path, uwre_file, capsys):

@@ -249,6 +249,25 @@ def test_ingest_uwre_malformed_rows_are_fatal():
         ingest_uwre(["r\tWho employs XXX?\tJo\tJo works for Acme.\tAcme||Initech\n"], "train")
 
 
+@pytest.mark.parametrize("field", ["a||b", "z||b", "z|a|", "|a", "a|z|"])
+def test_an_empty_answer_string_is_fatal_wherever_it_appears(field):
+    # "z" is not in the sentence: the empty answer is found first all the same
+    with pytest.raises(ParseError) as exc:
+        ingest_uwre([f"r\tWho is XXX?\tJo\tS a.\t{field}\n"], "train")
+    assert str(exc.value) == "line 1: empty answer string"
+
+
+def test_an_empty_answer_string_exits_2_from_the_cli(tmp_path, capsys):
+    from slotqa.cli import main
+
+    for field in ("a||b", "z||b"):
+        tsv = tmp_path / "r.tsv"
+        tsv.write_text(f"r\tWho is XXX?\tJo\tS a.\t{field}\n", encoding="utf-8")
+        assert main(["ingest-uwre", "--in", str(tsv), "--split", "train", "--out", str(tmp_path / "o.jsonl")]) == 2
+        assert capsys.readouterr().err == f"error: {tsv}: line 1: empty answer string\n"
+    assert not (tmp_path / "o.jsonl").exists()
+
+
 def test_ingest_uwre_inventory_is_first_seen_order():
     lines = [
         "b\tWhere was XXX born?\tA\tA was born in X.\t\n",

@@ -6,6 +6,7 @@ process has long since imported every module.
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from slotqa.model import Prediction, read_sidecar, write_instances, write_predic
 from helpers import make_instance
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-LAYERS = {"baseline", "challenge", "ingest", "metrics", "mixer", "templates", "transforms"}
+LAYERS = {"baseline", "challenge", "ingest", "metrics", "mixer", "parallel", "templates", "transforms"}
 
 # the loaded slotqa submodules, as an expression any interpreter can evaluate
 _SUBMODULES = "sorted(m[7:] for m in __import__('sys').modules if m.startswith('slotqa.'))"
@@ -60,6 +61,75 @@ def test_help_loads_only_cli_and_model():
         "        pass"
     )
     assert _loaded(code) == {"cli", "model"}
+
+
+def test_neither_the_cli_nor_help_loads_the_fork_helper_or_pickle():
+    code = (
+        "import contextlib, io, sys\n"
+        "import slotqa.cli\n"
+        "seen = {'import': sorted({'slotqa.parallel', 'pickle'} & set(sys.modules))}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        slotqa.cli.main(['--help'])\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "seen['--help'] = sorted({'slotqa.parallel', 'pickle'} & set(sys.modules))\n"
+        "print([(step, m) for step, ms in seen.items() for m in ms])"
+    )
+    assert _run(code) == set()
+
+
+def test_no_module_imports_a_process_pool():
+    """Every CLI step that forks does so through parallel.fork_map, not multiprocessing."""
+    for path in Path(slotqa.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else (
+                [node.module] if isinstance(node, ast.ImportFrom) and node.module else []
+            )
+            for name in names:
+                assert name.partition(".")[0] not in ("multiprocessing", "concurrent"), (path.name, name)
+
+
+def test_the_forking_steps_load_no_process_pool(tmp_path):
+    """predict-baseline, replay and mix, run in one interpreter with every file split for fork_map."""
+    def squad(prefix):
+        path = tmp_path / f"{prefix}.json"
+        path.write_text(json.dumps({"data": [{"title": "t", "paragraphs": [
+            {"context": f"Obama was born in Hawaii {i}. He moved.", "qas": [
+                {"id": f"{prefix}{i}", "question": "Where was Obama born?",
+                 "answers": [{"text": "Hawaii", "answer_start": 18}]}]} for i in range(4)]}]}), encoding="utf-8")
+        return str(path)
+
+    config = tmp_path / "mix.json"
+    config.write_text('{"base": "b", "augment": "a", "seed": 1, "sizes": [1]}', encoding="utf-8")
+    base, augment, neg = (str(tmp_path / name) for name in ("base.jsonl", "augment.jsonl", "neg.jsonl"))
+    steps = [
+        ["ingest-squad", "--in", squad("q"), "--split", "train", "--out", base],
+        ["ingest-squad", "--in", squad("r"), "--split", "train", "--out", augment],
+        ["predict-baseline", "--in", base, "--out", str(tmp_path / "preds.jsonl")],
+        ["negativize", "--in", base, "--out", neg],
+        ["replay", "--log", f"{neg}.prov.json"],
+        ["mix", "--config", str(config), "--base", base, "--augment", augment,
+         "--out-dir", str(tmp_path / "mixed")],
+    ]
+    code = (
+        "import contextlib, io, os, sys\n"
+        "from slotqa import baseline, cli, mixer, parallel\n"
+        "baseline._FORK_MIN_FLAGGED = mixer._RANGE_MIN_BYTES = 1\n"
+        "parallel.available_cpus = lambda: 2\n"
+        "forks, real_fork = [], os.fork\n"
+        "def fork():\n"
+        "    pid = real_fork()\n"
+        "    forks.extend([pid] if pid else [])\n"
+        "    return pid\n"
+        "os.fork = fork\n"
+        f"for argv in {steps!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "pools = sorted(m for m in sys.modules if m.partition('.')[0] in ('multiprocessing', 'concurrent'))\n"
+        "print([*pools, *(['forked'] if forks or sys.platform != 'linux' else [])])"
+    )
+    assert _run(code) == {"forked"}
 
 
 def test_score_loads_only_the_scoring_layer(tmp_path):

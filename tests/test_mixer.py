@@ -1,20 +1,18 @@
-import contextlib
 import errno
 import os
 import json
 import random
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slotqa import mixer
+from slotqa import mixer, parallel
 from slotqa import (
     DataError,
     MixSpec,
@@ -27,7 +25,7 @@ from slotqa import (
 from slotqa.mixer import DEFAULT_SIZES
 from slotqa.model import dumps_instance, sidecar_path
 
-from helpers import make_dataset, make_instance, oracle_sample
+from helpers import make_dataset, make_instance, oracle_sample, record_forks
 
 
 def numbered(n, prefix="x"):
@@ -331,24 +329,22 @@ def text_mode_outputs(base_path, augment_path, sizes, seed):
     ]
 
 
+def in_ranges(m, parts, fork=True):
+    """Scan every input, however small, in ``parts`` ranges, in forked children if ``fork``."""
+    m.setattr(mixer, "_RANGE_MIN_BYTES", 1)
+    m.setattr(parallel, "available_cpus", lambda: parts)
+    if not fork:
+        m.setattr(parallel, "_may_fork", lambda: False)
+
+
 @pytest.fixture
-def parallel(monkeypatch):
-    """Scan every input, however small, with a pool of two worker processes.
+def forks(monkeypatch):
+    """Scan every input, however small, in two ranges through fork_map.
 
-    Returns the list of pools that mix_files opened.
+    Returns the list of the children's pids.
     """
-    monkeypatch.setattr(mixer, "_RANGE_MIN_BYTES", 1)
-    monkeypatch.setattr(mixer, "_available_cpus", lambda: 2)
-    pools = []
-    real = mixer._scan_pool
-
-    def recording(workers):
-        pool = real(workers)
-        pools.append(pool)
-        return pool
-
-    monkeypatch.setattr(mixer, "_scan_pool", recording)
-    return pools
+    in_ranges(monkeypatch, 2)
+    return record_forks(monkeypatch)
 
 
 def mixed_bytes(spec, base_path, augment_path, out_dir):
@@ -367,13 +363,11 @@ def test_parallel_scan_keeps_text_mode_newlines(tmp_path, monkeypatch):
     assert mixed_bytes(spec, base, augment, tmp_path / "serial") == want
     for parts in range(2, 12):
         with monkeypatch.context() as m:
-            m.setattr(mixer, "_RANGE_MIN_BYTES", 1)
-            m.setattr(mixer, "_available_cpus", lambda: parts)
-            m.setattr(mixer, "_scan_pool", lambda workers: contextlib.nullcontext())
+            in_ranges(m, parts, fork=False)
             assert mixed_bytes(spec, base, augment, tmp_path / f"ranges{parts}") == want
 
 
-def test_parallel_scan_through_worker_processes(tmp_path, parallel):
+def test_parallel_scan_through_worker_processes(tmp_path, forks):
     base = tmp_path / "base.jsonl"
     augment = tmp_path / "augment.jsonl"
     base.write_bytes(("\n".join(LINE % f"b{i}" for i in range(5)) + "\n").encode())
@@ -383,12 +377,11 @@ def test_parallel_scan_through_worker_processes(tmp_path, parallel):
     assert mixed_bytes(spec, base, augment, tmp_path / "out") == text_mode_outputs(
         base, augment, spec.sizes, spec.seed
     )
-    # workers are forked only on Linux
-    forks = sys.platform == "linux"
-    assert parallel and all(isinstance(pool, ProcessPoolExecutor) == forks for pool in parallel)
+    # children are forked only on Linux: two per file
+    assert len(forks) == (4 if sys.platform == "linux" else 0)
 
 
-def test_mix_files_with_a_second_thread_alive_opens_no_pool(tmp_path, parallel):
+def test_mix_files_with_a_second_thread_alive_opens_no_pool(tmp_path, forks):
     base = tmp_path / "base.jsonl"
     augment = tmp_path / "augment.jsonl"
     base.write_bytes(("\n".join(LINE % f"b{i}" for i in range(5)) + "\n").encode())
@@ -404,28 +397,33 @@ def test_mix_files_with_a_second_thread_alive_opens_no_pool(tmp_path, parallel):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert got == text_mode_outputs(base, augment, spec.sizes, spec.seed)
-    assert parallel and not any(isinstance(pool, ProcessPoolExecutor) for pool in parallel)
+    assert forks == []
 
 
-class _BrokenPool:
-    """A pool whose workers have died."""
+def _children_die(m):
+    """Every forked scan child kills itself before it sends its result; the children's pids."""
+    parent, real = os.getpid(), mixer._scan_range
 
-    def __enter__(self):
-        return self
+    def scan_range(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, *args):
-        raise BrokenProcessPool("a worker died")
-
-
-def _no_pool(workers):
-    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+    m.setattr(mixer, "_scan_range", scan_range)
+    return record_forks(m)
 
 
-@pytest.mark.parametrize("pool", [lambda workers: _BrokenPool(), _no_pool], ids=["broken", "unstartable"])
-def test_parallel_scan_falls_back_to_a_serial_scan(tmp_path, monkeypatch, pool):
+def _no_fork(m):
+    """No child can be forked; no pids."""
+    def fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    m.setattr(os, "fork", fork)
+    return []
+
+
+@pytest.mark.parametrize("break_children", [_children_die, _no_fork], ids=["broken", "unstartable"])
+def test_parallel_scan_falls_back_to_a_serial_scan(tmp_path, monkeypatch, break_children):
     base = tmp_path / "base.jsonl"
     augment = tmp_path / "augment.jsonl"
     write_dataset(numbered(4, "b"), base)
@@ -436,41 +434,42 @@ def test_parallel_scan_falls_back_to_a_serial_scan(tmp_path, monkeypatch, pool):
     augment.write_bytes(augment_bytes.replace(b'"a25"', b"25"))
     with pytest.raises(ParseError) as serial:
         mix_files(spec, base, augment, tmp_path / "serial")
-    monkeypatch.setattr(mixer, "_RANGE_MIN_BYTES", 1)
-    monkeypatch.setattr(mixer, "_available_cpus", lambda: 2)
-    monkeypatch.setattr(mixer, "_scan_pool", pool)
+    in_ranges(monkeypatch, 2)
+    pids = break_children(monkeypatch)
     with pytest.raises(ParseError) as fallback:
         mix_files(spec, base, augment, tmp_path / "fallback")
     assert str(fallback.value) == str(serial.value)
     augment.write_bytes(augment_bytes)
     assert mixed_bytes(spec, base, augment, tmp_path / "fallback") == want
+    assert bool(pids) == (break_children is _children_die and sys.platform == "linux")
 
 
-# Scripts that call mix_files with every input large enough for a scan pool;
-# each prints the kind of pool the scan got.
+# Scripts that call mix_files with every input scanned in two ranges; the
+# parent prints a line for each child it forks.
 _SCRIPT_HEAD = """
-import multiprocessing, sys
-from slotqa import MixSpec, mixer
+import multiprocessing, os, sys
+from slotqa import MixSpec, mixer, parallel
 mixer._RANGE_MIN_BYTES = 1
-mixer._available_cpus = lambda: 2
-real_pool = mixer._scan_pool
-def pool_of(workers):
-    pool = real_pool(workers)
-    print(type(pool).__name__, flush=True)
-    return pool
-mixer._scan_pool = pool_of
+parallel.available_cpus = lambda: 2
+real_fork = os.fork
+def fork():
+    pid = real_fork()
+    if pid:
+        print("forked", flush=True)
+    return pid
+os.fork = fork
 def run(args):
     mixer.mix_files(MixSpec(base="b", augment="a", seed=4, sizes=(5, 50)), *args)
 """
 SCRIPTS = {
-    # no __main__ guard: the scan runs in forked workers, which never
+    # no __main__ guard: the scan runs in forked children, which never
     # re-import this script, so it mixes once and finishes
     "unguarded": _SCRIPT_HEAD + """
 run(sys.argv[1:])
 with open(sys.argv[3] + ".done", "a") as f:
     f.write("done\\n")
 """,
-    # a daemonic pool worker may not start processes of its own
+    # a daemonic pool worker forks its scan children itself, not through multiprocessing
     "daemonic": _SCRIPT_HEAD + """
 if __name__ == "__main__":
     with multiprocessing.get_context("spawn").Pool(1) as pool:
@@ -480,7 +479,7 @@ if __name__ == "__main__":
 
 
 @pytest.mark.parametrize("kind", sorted(SCRIPTS))
-def test_mix_files_without_a_usable_pool_scans_serially(tmp_path, kind):
+def test_mix_files_in_a_script_or_a_pool_worker(tmp_path, kind):
     base = tmp_path / "base.jsonl"
     augment = tmp_path / "augment.jsonl"
     base.write_bytes(("\n".join(LINE % f"b{i}" for i in range(3)) + "\n").encode())
@@ -500,8 +499,8 @@ def test_mix_files_without_a_usable_pool_scans_serially(tmp_path, kind):
     )
     if kind == "unguarded":
         assert (tmp_path / "out.done").read_text() == "done\n"
-    forks = kind == "unguarded" and sys.platform == "linux"
-    assert proc.stdout.split() == ["ProcessPoolExecutor" if forks else "nullcontext"]
+    # two ranges of each file, each in a child of its own
+    assert proc.stdout.split() == ["forked"] * (4 if sys.platform == "linux" else 0)
 
 
 BAD_LINES = {
@@ -529,14 +528,13 @@ def test_parallel_scan_reports_the_same_error(tmp_path, monkeypatch, kind):
     with pytest.raises(ParseError) as serial:
         mix_files(spec, base, augment, tmp_path / "serial")
     assert f"{augment}: line 22: " in str(serial.value)
-    monkeypatch.setattr(mixer, "_RANGE_MIN_BYTES", 1)
-    monkeypatch.setattr(mixer, "_available_cpus", lambda: 2)
-    with pytest.raises(ParseError) as parallel:
+    in_ranges(monkeypatch, 2)
+    with pytest.raises(ParseError) as forked:
         mix_files(spec, base, augment, tmp_path / "parallel")
-    assert str(parallel.value) == str(serial.value)
+    assert str(forked.value) == str(serial.value)
 
 
-def test_parallel_scan_finds_collisions_in_every_range(tmp_path, parallel):
+def test_parallel_scan_finds_collisions_in_every_range(tmp_path, forks):
     base = tmp_path / "base.jsonl"
     augment = tmp_path / "augment.jsonl"
     base.write_text("".join(LINE % i + "\n" for i in ("a27", "zz", "a03", "a27")), encoding="utf-8")
@@ -561,9 +559,7 @@ def test_mix_files_equals_the_oracle_for_any_range_count(base_size, population, 
     base, augment = numbered(base_size, "b"), numbered(population, "a")
     spec = spec_for(sorted(sizes), seed)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as m:
-        m.setattr(mixer, "_RANGE_MIN_BYTES", 1)
-        m.setattr(mixer, "_available_cpus", lambda: parts)
-        m.setattr(mixer, "_scan_pool", lambda workers: contextlib.nullcontext())
+        in_ranges(m, parts, fork=False)
         write_dataset(base, Path(tmp) / "base.jsonl")
         write_dataset(augment, Path(tmp) / "augment.jsonl")
         written = mix_files(spec, Path(tmp) / "base.jsonl", Path(tmp) / "augment.jsonl", Path(tmp) / "out")
@@ -632,8 +628,8 @@ def test_mix_files_notices_an_augment_that_changes_after_the_scan(tmp_path, monk
     write_dataset(numbered(9, "a"), augment)
     real_scan = mixer._scan
 
-    def scan_then_append(path, base_ids, parts, pool):
-        result = real_scan(path, base_ids, parts, pool)
+    def scan_then_append(path, base_ids, parts):
+        result = real_scan(path, base_ids, parts)
         if path == augment:
             with open(augment, "a", encoding="utf-8") as f:
                 f.write(LINE % "late" + "\n")
