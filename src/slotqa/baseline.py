@@ -41,7 +41,6 @@ from itertools import accumulate, chain
 from typing import Mapping, NamedTuple
 
 from .model import IDF_SOURCES, Dataset, DataError, Instance, Prediction
-from .parallel import available_cpus, fork_map
 from .transforms import segment_sentences
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -207,8 +206,15 @@ def predict(instance: Instance, config: BaselineConfig, idf_table: IdfTable) -> 
     return Prediction(instance.id, instance.context[best[1] : best[2]])
 
 
-# Each forked child predicts at least this many flagged instances.
-_FORK_MIN_FLAGGED = 500
+# Each forked child predicts at least this many flagged instances. With 2
+# shared CPUs, two forked chunks break even with one serial pass at under 100
+# flagged bench-like SQuAD instances and at about 250 single-sentence UWRE+
+# ones (medians of 41 alternating predict_dataset calls, serial against
+# forked: SQuAD 100 flagged 11.4 against 9.9 ms, 300 35.3 against 30.2 ms;
+# UWRE+ 200 4.5 against 4.8 ms, 300 6.5 against 6.1 ms, 600 13.0 against
+# 10.4 ms, 1,000 21.2 against 15.7 ms). Each child gets about twice the
+# cheaper set's 125-instance break-even share, a margin for slower forks.
+_FORK_MIN_FLAGGED = 250
 
 
 def predict_dataset(
@@ -223,6 +229,8 @@ def predict_dataset(
     :func:`~slotqa.parallel.fork_map`; each child inherits the table and sends
     back only its answers.
     """
+    from .parallel import available_cpus, fork_map
+
     config.validate()
     instances = dataset.instances
     count_df = idf_table is None and config.idf_source == "self_corpus"

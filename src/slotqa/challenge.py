@@ -23,6 +23,14 @@ def derive_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+class MissingTemplateError(DataError):
+    """A positive with a donor has a relation that no question template covers."""
+
+    def __init__(self, relation: str) -> None:
+        super().__init__(f"no question template for relation {relation!r}")
+        self.relation = relation
+
+
 def _require_positive(inst: Instance) -> None:
     if inst.origin != "uwre_positive":
         raise DataError(
@@ -73,7 +81,7 @@ def build_challenge_set(
             continue
         donor = rng.choice(eligible)
         if inst.relation not in grouped:
-            raise DataError(f"no question template for relation {inst.relation!r}")
+            raise MissingTemplateError(inst.relation)
         question = instantiate(grouped[inst.relation][0], donor)
         out.append(
             Instance(

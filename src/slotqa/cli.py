@@ -47,6 +47,7 @@ from .model import (
     read_lines,
     read_predictions,
     refuse_overwrite,
+    tsv_rows,
     validate_dataset,
     write_dataset,
     write_json,
@@ -223,26 +224,27 @@ def _adapt_noanswer(args) -> str:
            _IN, Flag("--templates", "templates", role="in", required=True, metavar="FILE"),
            _SEED, _OUT, _REPORT)
 def _build_challenge(args) -> str:
-    from .challenge import build_challenge_set
-    from .templates import read_templates
+    from .challenge import MissingTemplateError, build_challenge_set
+    from .templates import load_templates
 
     dataset = _load(args.in_path)
     positives = tuple(inst for inst in dataset if inst.origin == "uwre_positive")
     if not positives:
         raise DataError(f"{args.in_path}: no uwre_positive instances to build from")
-    templates, rejected = read_templates(args.templates)
-    # a failed run writes no report, so the message carries the rejections;
-    # a positive without a relation is left to build_challenge_set to refuse
-    usable = {template.relation for template in templates}
-    for relation in dict.fromkeys(inst.relation for inst in positives):
-        if relation and relation not in usable:
-            notes = [note for rejected_relation, note in rejected if rejected_relation == relation]
-            if not notes:
-                raise DataError(f"{args.templates}: no question template for relation {relation!r}")
-            raise DataError(f"{args.templates}: no usable question template for relation {relation!r}"
-                            f" ({len(notes)} row{'s' * (len(notes) > 1)} rejected: {notes[0]})")
-    result, report = build_challenge_set(dataset._replace(instances=positives), templates, args.seed)
-    report.note(*(note for _, note in rejected))
+    templates, rejections = load_templates(args.templates)
+    try:
+        result, report = build_challenge_set(dataset._replace(instances=positives), templates, args.seed)
+    except MissingTemplateError as error:
+        # a failed run writes no report, so the message carries the rejections of the relation's
+        # rows: with no template kept for the relation, the file rejected every row it has for it
+        rows = tuple(f"line {n}: " for n, (relation, _) in tsv_rows(read_lines(args.templates), 2)
+                     if relation == error.relation)
+        notes = [note for note in rejections if note.startswith(rows)]
+        if not notes:
+            raise DataError(f"{args.templates}: {error}") from error
+        raise DataError(f"{args.templates}: no usable question template for relation {error.relation!r}"
+                        f" ({len(notes)} row{'s' * (len(notes) > 1)} rejected: {notes[0]})") from error
+    report.note(*rejections)
     wrote = _save(args, result, report, what="challenge instances")
     return f"{wrote} ({report.extra['skipped_no_donor']} positives had no donor)"
 

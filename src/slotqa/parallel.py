@@ -43,21 +43,20 @@ def _may_fork() -> bool:
     )
 
 
-def fork_map(function: Callable[[T], R], items: Iterable[T], workers: int | None = None) -> Iterator[R]:
+def fork_map(function: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
     """Yield ``function(item)`` for each item, in item order.
 
-    Each item runs in a forked child, at most ``workers`` (by default
-    :func:`available_cpus`) at once. The items run in this process when
-    there are fewer than two of them or fewer than two workers, off Linux,
-    while another thread is alive, or inside a child of ``fork_map``, so
-    calls never nest forks. An item whose child yields no result (the fork
-    failed, or the child exited non-zero or sent nothing) is computed here
-    in its turn, so an item's exception is raised here, after every earlier
-    result has been yielded. Closing the generator early kills and reaps
-    every child still running.
+    Each item runs in a forked child, at most one per available CPU at once.
+    The items run in this process when there are fewer than two of them or
+    fewer than two available CPUs, off Linux, while another thread is alive,
+    or inside a child of ``fork_map``, so calls never nest forks. An item
+    whose child yields no result (the fork failed, or the child exited
+    non-zero or sent nothing) is computed here in its turn, so an item's
+    exception is raised here, after every earlier result has been yielded.
+    Closing the generator early kills and reaps every child still running.
     """
     items = list(items)
-    workers = available_cpus() if workers is None else workers
+    workers = available_cpus()
     if len(items) < 2 or workers < 2 or not _may_fork():
         for item in items:
             yield function(item)

@@ -41,28 +41,22 @@ def load_templates(path: str | Path) -> tuple[list[QuestionTemplate], list[str]]
     keeping the first. Rows that are not two tab-separated fields are a
     parse error.
     """
-    templates, rejected = read_templates(path)
-    return templates, [note for _, note in rejected]
-
-
-def read_templates(path: str | Path) -> tuple[list[QuestionTemplate], list[tuple[str, str]]]:
-    """:func:`load_templates`, with each rejected row's relation beside its description."""
     templates: list[QuestionTemplate] = []
-    rejected: list[tuple[str, str]] = []
+    rejections: list[str] = []
     seen: set[tuple[str, str]] = set()
     for lineno, (relation, pattern) in tsv_rows(read_lines(path), 2, f"{path}: "):
         if not relation:
-            rejected.append((relation, f"line {lineno}: empty relation"))
+            rejections.append(f"line {lineno}: empty relation")
             continue
         if problem := placeholder_problem(pattern):
-            rejected.append((relation, f"line {lineno}: pattern {problem}"))
+            rejections.append(f"line {lineno}: pattern {problem}")
             continue
         key = (relation, pattern)
         if key in seen:
             continue
         seen.add(key)
         templates.append(QuestionTemplate(relation, pattern))
-    return templates, rejected
+    return templates, rejections
 
 
 def save_templates(templates: Iterable[QuestionTemplate], path: str | Path) -> None:

@@ -1362,6 +1362,21 @@ def test_build_challenge_names_the_templates_and_their_rejections(tmp_path, uwre
     assert not out.exists() and not (tmp_path / "report.json").exists()
 
 
+def test_build_challenge_needs_no_template_for_a_relation_without_donors(tmp_path, capsys):
+    records, data, templates = tmp_path / "uwre.tsv", tmp_path / "uwre.jsonl", tmp_path / "t.tsv"
+    # one employer positive: no other employer entity to donate, so no question about one
+    records.write_text(UWRE_TSV + "employer\tWho does XXX work for?\tBob\tBob works for Acme.\tAcme\n",
+                       encoding="utf-8")
+    templates.write_text("place_of_birth\tWhere was XXX born?\nemployer\tWho XXX XXX\n", encoding="utf-8")
+    assert main(["ingest-uwre", "--in", str(records), "--split", "dev", "--out", str(data)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "c.jsonl"
+    argv = ["build-challenge", "--in", str(data), "--templates", str(templates), "--seed", "5", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("(1 positives had no donor)\n")
+    assert {inst.relation for inst in load_dataset(out)} == {"place_of_birth"}
+
+
 def test_build_uwre_plus_names_the_file_it_cannot_build_from(tmp_path, uwre_file, capsys):
     data, templates, pool = tmp_path / "uwre.jsonl", tmp_path / "t.tsv", tmp_path / "pool.jsonl"
     positives, empty, out = tmp_path / "positives.jsonl", tmp_path / "empty.jsonl", tmp_path / "out.jsonl"

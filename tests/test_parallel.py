@@ -26,12 +26,19 @@ def where(item):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the children forked during the test."""
+    """The pids of the children forked during the test, with two CPUs available."""
+    cpus(monkeypatch, 2)
     return record_forks(monkeypatch)
 
 
-def test_results_come_back_in_item_order_from_children(forks):
-    got = list(fork_map(where, range(7), workers=3))
+def cpus(monkeypatch, count):
+    """Let fork_map run up to ``count`` children at once."""
+    monkeypatch.setattr(parallel, "available_cpus", lambda: count)
+
+
+def test_results_come_back_in_item_order_from_children(monkeypatch, forks):
+    cpus(monkeypatch, 3)
+    got = list(fork_map(where, range(7)))
     assert [square for square, _ in got] == [i * i for i in range(7)]
     if LINUX:
         assert [pid for _, pid in got] == forks
@@ -40,9 +47,10 @@ def test_results_come_back_in_item_order_from_children(forks):
         assert {pid for _, pid in got} == {os.getpid()} and forks == []
 
 
-@pytest.mark.parametrize("items, workers", [([], 2), ([3], 2), (range(4), 1)])
-def test_too_little_to_share_runs_here(forks, items, workers):
-    assert list(fork_map(where, items, workers)) == [(i * i, os.getpid()) for i in items]
+@pytest.mark.parametrize("items, count", [([], 2), ([3], 2), (range(4), 1)])
+def test_too_little_to_share_runs_here(monkeypatch, forks, items, count):
+    cpus(monkeypatch, count)
+    assert list(fork_map(where, items)) == [(i * i, os.getpid()) for i in items]
     assert forks == []
 
 
@@ -52,7 +60,7 @@ def test_the_first_failing_item_raises_after_the_earlier_results(forks):
             raise ValueError(f"bad item {item}")
         return where(item)
 
-    results = fork_map(fail_at_three, range(6), workers=2)
+    results = fork_map(fail_at_three, range(6))
     got = []
     with pytest.raises(ValueError, match="bad item 3"):
         for result in results:
@@ -72,7 +80,7 @@ def test_an_item_whose_child_dies_is_computed_here(forks):
             os.kill(os.getpid(), signal.SIGKILL)
         return where(item)
 
-    got = list(fork_map(die_in_a_child, range(6), workers=2))
+    got = list(fork_map(die_in_a_child, range(6)))
     assert [square for square, _ in got] == [i * i for i in range(6)]
     assert [pid == parent for _, pid in got] == [bool(i % 2) or not LINUX for i in range(6)]
     assert len(forks) == (6 if LINUX else 0)
@@ -89,7 +97,8 @@ def test_an_item_whose_child_sends_part_of_its_result_is_computed_here(monkeypat
         return real(fd, data[: len(data) // 2])
 
     monkeypatch.setattr(os, "write", write_half_then_fail)
-    assert list(fork_map(where, range(3), workers=2)) == [(i * i, os.getpid()) for i in range(3)]
+    cpus(monkeypatch, 2)
+    assert list(fork_map(where, range(3))) == [(i * i, os.getpid()) for i in range(3)]
 
 
 def test_a_live_second_thread_means_no_fork(forks):
@@ -97,7 +106,7 @@ def test_a_live_second_thread_means_no_fork(forks):
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        got = list(fork_map(where, range(4), workers=2))
+        got = list(fork_map(where, range(4)))
     finally:
         release.set()
         thread.join(timeout=10)
@@ -110,21 +119,23 @@ def test_a_fork_that_fails_falls_back_to_this_process(monkeypatch):
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", fork)
-    assert list(fork_map(where, range(4), workers=2)) == [(i * i, os.getpid()) for i in range(4)]
+    cpus(monkeypatch, 2)
+    assert list(fork_map(where, range(4))) == [(i * i, os.getpid()) for i in range(4)]
 
 
 def test_a_child_never_forks(forks):
     def nested(item):
         # the pids of a nested fork_map's items, and of the process that ran it
-        return [pid for _, pid in fork_map(where, range(3), workers=2)], os.getpid()
+        return [pid for _, pid in fork_map(where, range(3))], os.getpid()
 
-    got = list(fork_map(nested, range(2), workers=2))
+    got = list(fork_map(nested, range(2)))
     assert all(inner == [pid] * 3 for inner, pid in got)
     assert len(forks) == (2 if LINUX else 0)
 
 
-def test_closing_early_kills_and_reaps_every_child(forks):
-    results = fork_map(where, range(6), workers=3)
+def test_closing_early_kills_and_reaps_every_child(monkeypatch, forks):
+    cpus(monkeypatch, 3)
+    results = fork_map(where, range(6))
     assert next(results)[0] == 0
     results.close()
     assert len(forks) == (3 if LINUX else 0)
@@ -133,16 +144,19 @@ def test_closing_early_kills_and_reaps_every_child(forks):
             os.waitpid(pid, os.WNOHANG)
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_the_default_workers_are_the_available_cpus(monkeypatch, forks, cpus):
-    monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
+@pytest.mark.parametrize("count", [1, 2])
+def test_children_run_only_with_two_available_cpus(monkeypatch, forks, count):
+    cpus(monkeypatch, count)
     assert [square for square, _ in fork_map(where, range(3))] == [0, 1, 4]
-    assert len(forks) == (3 if LINUX and cpus > 1 else 0)
+    assert len(forks) == (3 if LINUX and count > 1 else 0)
 
 
 _SCRIPT = """
 import os, sys
+from slotqa import parallel
 from slotqa.parallel import fork_map
+
+parallel.available_cpus = lambda: 3
 
 def fds():
     return sorted(os.listdir("/proc/self/fd")) if sys.platform == "linux" else []
@@ -154,12 +168,12 @@ def fail_at_two(item):
 
 before = fds()
 print("buffered before the fork")
-assert list(fork_map(str, range(5), workers=2)) == ["0", "1", "2", "3", "4"]
-results = fork_map(str, range(5), workers=3)
+assert list(fork_map(str, range(5))) == ["0", "1", "2", "3", "4"]
+results = fork_map(str, range(5))
 next(results)
 results.close()
 try:
-    list(fork_map(fail_at_two, range(5), workers=2))
+    list(fork_map(fail_at_two, range(5)))
 except ValueError:
     pass
 assert fds() == before, (before, fds())
