@@ -206,14 +206,14 @@ def predict(instance: Instance, config: BaselineConfig, idf_table: IdfTable) -> 
     return Prediction(instance.id, instance.context[best[1] : best[2]])
 
 
-# Each forked child predicts at least this many flagged instances. With 2
-# shared CPUs, two forked chunks break even with one serial pass at under 100
-# flagged bench-like SQuAD instances and at about 250 single-sentence UWRE+
-# ones (medians of 41 alternating predict_dataset calls, serial against
-# forked: SQuAD 100 flagged 11.4 against 9.9 ms, 300 35.3 against 30.2 ms;
-# UWRE+ 200 4.5 against 4.8 ms, 300 6.5 against 6.1 ms, 600 13.0 against
-# 10.4 ms, 1,000 21.2 against 15.7 ms). Each child gets about twice the
-# cheaper set's 125-instance break-even share, a margin for slower forks.
+# Each share of flagged instances is at least this many. With 2 shared CPUs,
+# this process predicting one share beside one forked child breaks even with
+# a serial pass at about 250 UWRE+ instances (medians of 41 alternating
+# predict_dataset calls, serial against split: UWRE+ 125 flagged 5.7 against
+# 7.0 ms, 250 11.1 against 11.2, 500 23.0 against 18.8; bench-like SQuAD 250
+# 48.4 against 33.1, 1,000 192.4 against 123.8). A share is twice the cheaper
+# set's break-even share, a margin for a busy machine: one run here read
+# split SQuAD slower up to 1,000 flagged, each process at half speed.
 _FORK_MIN_FLAGGED = 250
 
 
@@ -225,11 +225,11 @@ def predict_dataset(
 
     The survey runs in this process. The flagged instances are then split
     into at most one contiguous chunk per available CPU, each of at least
-    ``_FORK_MIN_FLAGGED``, predicted through
-    :func:`~slotqa.parallel.fork_map`; each child inherits the table and sends
-    back only its answers.
+    ``_FORK_MIN_FLAGGED``, for :func:`~slotqa.parallel.fork_map`: this
+    process predicts the first while forked children, which inherit the
+    table, predict the rest and send back only their answers.
     """
-    from .parallel import available_cpus, fork_map
+    from .parallel import fork_map, shares
 
     config.validate()
     instances = dataset.instances
@@ -245,7 +245,7 @@ def predict_dataset(
     if idf_table is None:
         idf_table = IdfTable(n_docs=len(instances), doc_freq=doc_freq) if count_df else uniform_idf()
     flagged = [inst for inst, flag in zip(instances, answerable) if flag]
-    parts = max(1, min(available_cpus(), len(flagged) // _FORK_MIN_FLAGGED))
+    parts = shares(len(flagged), _FORK_MIN_FLAGGED)
     chunks = [flagged[len(flagged) * k // parts : len(flagged) * (k + 1) // parts] for k in range(parts)]
     answers = chain.from_iterable(
         fork_map(lambda chunk: [predict(inst, config, idf_table).answer for inst in chunk], chunks)

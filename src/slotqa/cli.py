@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -361,9 +362,10 @@ def _validate(args) -> str | int:
 def _replay(args) -> int:
     """Check every step in order up to the first failing check, then run the checked steps.
 
-    The steps only read recorded files, so each runs in a child of its own
-    (:func:`~slotqa.parallel.fork_map`); their lines are printed in step
-    order, as a serial replay prints them, and then the failed check raises.
+    The steps only read recorded files, so they run through
+    :func:`~slotqa.parallel.fork_map`, the first here and each later one in a
+    child of its own; their lines are printed in step order, as a serial
+    replay prints them, and then the failed check raises.
     """
     import contextlib
     import filecmp
@@ -469,21 +471,31 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        named = [flag for flag in args.op.flags if flag.name]
-        for flag in named:  # "" is no file: a write to it would land beside the working directory
-            if flag.role and getattr(args, flag.dest) is not None:
-                expect(getattr(args, flag.dest), "a path", flag.name, _KINDS)
-        outputs = [getattr(args, f.dest) for f in named if f.role == "out"]
-        refuse_overwrite(outputs, [getattr(args, f.dest) for f in named if f.role == "in"])
-        result = args.op.run(args)
-        if isinstance(result, int):
-            return result
-        print(result)
-        return 0
-    # an input that is missing, a directory or unreadable (OSError) is a usage error
-    except (ParseError, DataError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1 if isinstance(e, DataError) else 2
+        try:
+            named = [flag for flag in args.op.flags if flag.name]
+            for flag in named:  # "" is no file: a write to it would land beside the working directory
+                if flag.role and getattr(args, flag.dest) is not None:
+                    expect(getattr(args, flag.dest), "a path", flag.name, _KINDS)
+            outputs = [getattr(args, f.dest) for f in named if f.role == "out"]
+            refuse_overwrite(outputs, [getattr(args, f.dest) for f in named if f.role == "in"])
+            result = args.op.run(args)
+            if not isinstance(result, int):
+                print(result)
+                result = 0
+        # an input that is missing, a directory or unreadable (OSError) is a usage error
+        except (ParseError, DataError, OSError) as e:
+            if isinstance(e, BrokenPipeError):
+                raise
+            print(f"error: {e}", file=sys.stderr)
+            result = 1 if isinstance(e, DataError) else 2
+        sys.stdout.flush()  # a reader that stopped early shows here, not at exit
+        return result
+    except BrokenPipeError:  # the reader of stdout stopped early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # Python flushes stdout at exit
+        return 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -94,13 +94,13 @@ def _ranks(population: int, seed: int) -> array:
     return rank
 
 
-# Each forked scan child gets at least this many bytes. On bench-like mix
-# lines, with 2 shared CPUs, two children (fork_map: fork, pipe, pickled ids)
-# break even with a serial scan at about 2.2 MiB of JSONL (medians of 15
-# alternating scans: 2 MiB 0.0175 s serial against 0.0185 s; 3 MiB 0.0257
-# against 0.0203 s; 4 MiB 0.0341 against 0.0248 s; 8 MiB 0.0658 against
-# 0.0461 s). Each child gets about twice its 1.1 MiB break-even share, a
-# margin for slower forks, so files under 4 MiB are scanned in this process.
+# Each scan range is at least this many bytes. On bench-like mix lines, with
+# 2 shared CPUs, this process scanning one range beside one forked child
+# breaks even with a serial scan at about 1 MiB of JSONL (medians of 21
+# alternating scans, serial against split: 1 MiB 16.4 against 16.8 ms; 2 MiB
+# 34.2 against 30.0; 4 MiB 57.4 against 46.1; 8 MiB 124.4 against 78.9). A
+# range is four times its break-even share, a margin for a busy machine, so
+# files under 4 MiB are scanned in this process.
 _RANGE_MIN_BYTES = 2 << 20
 _BLOCK_BYTES = 1 << 18
 
@@ -179,18 +179,20 @@ def _scan_range(
     return count, ids, None
 
 
-def _scan(path: Path, base_ids: set[str] | None, parts: int) -> tuple[int, list[str]]:
+def _scan(path: Path, base_ids: set[str] | None) -> tuple[int, list[str]]:
     """Line count and ids (as in :func:`_scan_range`) of a whole JSONL file.
 
-    The file is split into at most ``parts`` ranges, scanned through
+    The file is split into ranges of at least ``_RANGE_MIN_BYTES``
+    (:func:`~slotqa.parallel.shares`), scanned through
     :func:`~slotqa.parallel.fork_map`. The first invalid line in file order
     raises :class:`ParseError` with its line number in the whole file.
     """
-    from .parallel import fork_map
+    from .parallel import fork_map, shares
 
     count = 0
     ids: list[str] = []
-    scans = fork_map(lambda bounds: _scan_range(path, *bounds, base_ids), _ranges(path, parts))
+    ranges = _ranges(path, shares(os.path.getsize(path), _RANGE_MIN_BYTES))
+    scans = fork_map(lambda bounds: _scan_range(path, *bounds, base_ids), ranges)
     with contextlib.closing(scans):
         for lines, found, error in scans:
             count += lines
@@ -198,19 +200,6 @@ def _scan(path: Path, base_ids: set[str] | None, parts: int) -> tuple[int, list[
                 raise ParseError(f"{path}: line {count}: {error}")
             ids.extend(found)
     return count, ids
-
-
-def _scan_inputs(base_path: Path, augment_path: Path) -> tuple[int, int, list[str]]:
-    """Base and augment line counts and colliding ids, each file scanned in parallel if large."""
-    from .parallel import available_cpus
-
-    cpus = available_cpus()
-    base_parts, augment_parts = (
-        max(1, min(cpus, os.path.getsize(path) // _RANGE_MIN_BYTES))
-        for path in (base_path, augment_path)
-    )
-    base_count, base_ids = _scan(base_path, None, base_parts)
-    return (base_count, *_scan(augment_path, set(base_ids), augment_parts))
 
 
 def mix_files(
@@ -226,16 +215,15 @@ def mix_files(
     entry. No output may overwrite an input or ``config``, the file the spec
     was read from. Lines are copied verbatim, so inputs must already be
     canonical JSONL. Each input is read twice, whatever the number of sizes:
-    once to validate every line and count the augment, once to copy. Files
-    of 4 MiB or more are validated in ranges by forked children
-    (:func:`~slotqa.parallel.fork_map`), one per available CPU and per 2 MiB;
-    they share this process's pages instead of starting an interpreter, and a
-    calling script needs no ``if __name__ == "__main__"`` guard. Where
-    ``fork_map`` does not fork, the ranges are scanned in this process with the
-    same results. Memory stays bounded by the base ids and a rank table of 4
-    bytes per augment line, never by instance objects. The rank table, and
-    the shuffle that draws it, is built only when some size is below the
-    augment's line count, so replaying an all-taking mix does no shuffle.
+    once to validate every line and count the augment, once to copy. A file
+    of 4 MiB or more is validated in ranges of at least 2 MiB, one per
+    available CPU, through :func:`~slotqa.parallel.fork_map`: this process
+    scans the first while forked children, which start no interpreter, scan
+    the rest, so a script needs no ``if __name__ == "__main__"`` guard.
+    Memory stays bounded by the base ids and a rank table of 4 bytes per
+    augment line, never by instance objects. The rank table, and the shuffle
+    that draws it, is built only when some size is below the augment's line
+    count, so replaying an all-taking mix does no shuffle.
     """
     spec.validate()
     base_path, augment_path = Path(base_path), Path(augment_path)
@@ -253,7 +241,8 @@ def mix_files(
             f"{base_token!r} vs {augment_token!r}"
         )
 
-    base_count, population, colliding = _scan_inputs(base_path, augment_path)
+    base_count, base_ids = _scan(base_path, None)
+    population, colliding = _scan(augment_path, set(base_ids))
     if colliding:
         colliding = sorted(set(colliding))
         raise DataError(

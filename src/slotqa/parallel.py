@@ -1,9 +1,8 @@
-"""One way to spread independent work over forked processes.
+"""One way to spread independent work over this process and forked children.
 
-:func:`fork_map` runs each item in a child forked from this process: the
-child inherits every object the function needs, without pickling them, and
-sends back only its pickled result through a pipe. Where forking is unsafe or
-cannot help, the items run here, one after another, with the same results.
+A child inherits every object the function needs, without pickling them,
+and sends back only its pickled result through a pipe. :func:`shares` is the
+one rule for how many pieces to cut a piece of work into.
 """
 
 from __future__ import annotations
@@ -29,6 +28,11 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def shares(amount: int, minimum: int) -> int:
+    """How many shares to cut ``amount`` into: at most one per available CPU, each at least ``minimum``."""
+    return max(1, min(available_cpus(), amount // minimum))
+
+
 def _may_fork() -> bool:
     """Only a single-threaded process on Linux forks, and never a fork_map child.
 
@@ -46,30 +50,24 @@ def _may_fork() -> bool:
 def fork_map(function: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
     """Yield ``function(item)`` for each item, in item order.
 
-    Each item runs in a forked child, at most one per available CPU at once.
-    The items run in this process when there are fewer than two of them or
-    fewer than two available CPUs, off Linux, while another thread is alive,
-    or inside a child of ``fork_map``, so calls never nest forks. An item
-    whose child yields no result (the fork failed, or the child exited
-    non-zero or sent nothing) is computed here in its turn, so an item's
-    exception is raised here, after every earlier result has been yielded.
-    Closing the generator early kills and reaps every child still running.
+    This process computes the first item while forked children compute the
+    items after it, at most ``available_cpus() - 1`` at once. None is forked
+    off Linux, while another thread is alive, or in a child of ``fork_map``;
+    the item this process computes may fork. An item whose child yields no
+    result (the fork failed, or the child exited non-zero or sent nothing) is
+    computed here in its turn, so its exception is raised after every earlier
+    result. An exception or an early close kills and reaps every child.
     """
     items = list(items)
-    workers = available_cpus()
-    if len(items) < 2 or workers < 2 or not _may_fork():
-        for item in items:
-            yield function(item)
-        return
-
+    workers = available_cpus() if _may_fork() else 1
     running: dict[int, tuple[int, int] | None] = {}  # item index -> (pid, read end), None if no fork
     try:
-        for index in range(len(items)):
-            for ahead in range(index, min(index + workers, len(items))):
+        for index, item in enumerate(items):
+            for ahead in range(index + 1, min(index + workers, len(items))):
                 if ahead not in running:
                     running[ahead] = _start(function, items[ahead])
-            data = _finish(running.pop(index))
-            yield function(items[index]) if data is None else pickle.loads(data)
+            data = _finish(running.pop(index, None))
+            yield function(item) if data is None else pickle.loads(data)
     finally:
         for child in running.values():
             if child is not None:

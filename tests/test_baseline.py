@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import sys
 
@@ -410,18 +411,30 @@ def test_predict_dataset_in_forked_chunks_equals_the_serial_result(ds, idf_sourc
         assert predict_dataset(ds, config) == serial
 
 
-def test_predict_dataset_forks_one_child_per_chunk_of_flagged_instances(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_predict_dataset_forks_one_child_per_chunk_after_the_first(monkeypatch, cpus):
+    parent = os.getpid()
     instances = [fig_instance(id=f"f{i}", question="Where was Obama born?") for i in range(5)]
     ds = make_dataset(*instances, make_instance(id="none", question="Where was Obama born?", context="No."))
     config = BaselineConfig()
     serial = [predict(inst, config, build_idf(ds)) for inst in ds]
-    forks = record_forks(monkeypatch)
-    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    forks, pids, real = record_forks(monkeypatch), [], baseline.predict
+
+    def predict_where(instance, *args):
+        pids.append(os.getpid())  # a child's appends stay in the child
+        return real(instance, *args)
+
+    monkeypatch.setattr(baseline, "predict", predict_where)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
     assert predict_dataset(ds, config) == serial
-    assert forks == []  # five flagged instances: one chunk of at least _FORK_MIN_FLAGGED
+    assert forks == [] and pids == [parent] * 5  # five flagged: one chunk of at least _FORK_MIN_FLAGGED
     monkeypatch.setattr(baseline, "_FORK_MIN_FLAGGED", 2)
+    pids.clear()
     assert predict_dataset(ds, config) == serial
-    assert len(forks) == (2 if sys.platform == "linux" else 0)
+    # at most one chunk per CPU, each of at least two flagged instances; the first is predicted here
+    chunks = min(cpus, 2)
+    assert len(forks) == (chunks - 1 if sys.platform == "linux" else 0)
+    assert pids == [parent] * (5 // chunks if sys.platform == "linux" else 5)
 
 
 def test_predict_dataset_predicts_only_instances_that_share_a_content_term(monkeypatch):

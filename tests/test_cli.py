@@ -665,13 +665,14 @@ def test_replay_in_forked_steps_prints_what_a_serial_replay_prints(tmp_path, cap
     monkeypatch.chdir(tmp_path)
     log = _squad_chain_log(kind)
     forks = record_forks(monkeypatch)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     forked = _replay(log, capsys)
     with monkeypatch.context() as m:
         m.setattr(parallel, "_may_fork", lambda: False)
         assert _replay(log, capsys) == forked
-    # one child per step that runs
+    # step 0 runs here, and every later step that runs in a child of its own
     runs = {"check fails at step 2": 2, "step 1 fails when it runs": 3}.get(kind, 3)
-    assert len(forks) == (runs if sys.platform == "linux" else 0)
+    assert len(forks) == (runs - 1 if sys.platform == "linux" else 0)
     ok = [f"ok: step {i} ({name}) reproduces {out}" for i, name, out in
           [(0, "ingest-squad", "pos.jsonl"), (1, "negativize", "neg.jsonl"), (2, "adapt-noanswer", "adapted.jsonl")]]
     code, out, err = forked

@@ -196,6 +196,40 @@ def test_bad_input_to_the_console_prints_no_traceback(tmp_path, corpus, target, 
     assert proc.stderr.startswith(("error: ", "usage: "))
 
 
+def _closed_stdout(cwd: Path, argv: str, buffered: bool) -> subprocess.CompletedProcess:
+    """Run a step whose stdout's reader has gone, as after `| head -c 0`: every write fails with EPIPE."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        return subprocess.run([sys.executable, "-m", "slotqa", *argv.split()], cwd=cwd, env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("argv", ["score --dataset adapted.jsonl --preds preds.jsonl",
+                                  "replay --log adapted.jsonl.prov.json"])
+def test_a_reader_that_closed_stdout_ends_the_step_with_141_and_no_message(corpus, argv, buffered):
+    proc = _closed_stdout(corpus, argv, buffered)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_a_closed_stdout_after_a_failed_replay_check_prints_no_traceback(tmp_path, corpus, buffered):
+    shutil.copytree(corpus, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "adapted.jsonl").unlink()  # steps 0 and 1 print their lines, then step 2's check fails
+    proc = _closed_stdout(tmp_path, "replay --log adapted.jsonl.prov.json", buffered)
+    assert proc.returncode == 141
+    # a buffered stdout fails only when flushed, after the failed check is reported
+    assert proc.stderr == ("error: adapted.jsonl.prov.json: step 2 (adapt-noanswer): missing recorded output"
+                           " adapted.jsonl\n" if buffered else "")
+
+
 def test_every_subcommand_names_the_encoding_of_every_file_it_opens(tmp_path):
     """A file opened with the locale's encoding would hold other bytes under another locale."""
     _seed_files(tmp_path)

@@ -377,8 +377,8 @@ def test_parallel_scan_through_worker_processes(tmp_path, forks):
     assert mixed_bytes(spec, base, augment, tmp_path / "out") == text_mode_outputs(
         base, augment, spec.sizes, spec.seed
     )
-    # children are forked only on Linux: two per file
-    assert len(forks) == (4 if sys.platform == "linux" else 0)
+    # children are forked only on Linux: one per file, for its second range
+    assert len(forks) == (2 if sys.platform == "linux" else 0)
 
 
 def test_mix_files_with_a_second_thread_alive_opens_no_pool(tmp_path, forks):
@@ -499,8 +499,8 @@ def test_mix_files_in_a_script_or_a_pool_worker(tmp_path, kind):
     )
     if kind == "unguarded":
         assert (tmp_path / "out.done").read_text() == "done\n"
-    # two ranges of each file, each in a child of its own
-    assert proc.stdout.split() == ["forked"] * (4 if sys.platform == "linux" else 0)
+    # two ranges of each file: the first scanned here, the second in a child
+    assert proc.stdout.split() == ["forked"] * (2 if sys.platform == "linux" else 0)
 
 
 BAD_LINES = {
@@ -628,8 +628,8 @@ def test_mix_files_notices_an_augment_that_changes_after_the_scan(tmp_path, monk
     write_dataset(numbered(9, "a"), augment)
     real_scan = mixer._scan
 
-    def scan_then_append(path, base_ids, parts):
-        result = real_scan(path, base_ids, parts)
+    def scan_then_append(path, base_ids):
+        result = real_scan(path, base_ids)
         if path == augment:
             with open(augment, "a", encoding="utf-8") as f:
                 f.write(LINE % "late" + "\n")

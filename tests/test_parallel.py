@@ -1,4 +1,9 @@
-"""The contract of ``parallel.fork_map``: serial results, wherever the items run."""
+"""The contract of ``parallel.fork_map``: serial results, wherever the items run.
+
+The first item runs in this process and each later one in a child, so a
+test that counts forks sets ``available_cpus`` itself: under ``taskset -c 0``
+nothing forks.
+"""
 
 import errno
 import os
@@ -6,9 +11,12 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slotqa import parallel
 from slotqa.parallel import fork_map
@@ -41,10 +49,63 @@ def test_results_come_back_in_item_order_from_children(monkeypatch, forks):
     got = list(fork_map(where, range(7)))
     assert [square for square, _ in got] == [i * i for i in range(7)]
     if LINUX:
-        assert [pid for _, pid in got] == forks
-        assert os.getpid() not in forks
+        # item 0 runs here, every later item in a child of its own
+        assert [pid for _, pid in got] == [os.getpid(), *forks]
+        assert len(forks) == 6 and os.getpid() not in forks
     else:
         assert {pid for _, pid in got} == {os.getpid()} and forks == []
+
+
+@pytest.mark.parametrize("count", range(9))
+def test_one_available_cpu_never_forks(monkeypatch, forks, count):
+    cpus(monkeypatch, 1)
+    assert list(fork_map(where, range(count))) == [(i * i, os.getpid()) for i in range(count)]
+    assert forks == []
+
+
+@pytest.mark.skipif(not LINUX, reason="children are forked only on Linux")
+@pytest.mark.parametrize("count", [2, 3, 4])
+def test_while_this_process_computes_at_most_one_child_per_further_cpu_is_alive(monkeypatch, forks, count):
+    parent = os.getpid()
+    alive = []  # per item computed here: the children not yet reaped
+
+    def item_here_or_die(item):
+        if os.getpid() != parent:
+            if item % 3 == 1:  # computed here again, with other children running
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(0.02)
+        else:
+            alive.append(sum(os.path.exists(f"/proc/{pid}") for pid in forks))
+        return where(item)
+
+    cpus(monkeypatch, count)
+    got = list(fork_map(item_here_or_die, range(10)))
+    assert [square for square, _ in got] == [i * i for i in range(10)]
+    assert [i for i, (_, pid) in enumerate(got) if pid == parent] == [0, 1, 4, 7]
+    assert len(alive) == 4 and max(alive) <= count - 1
+    assert alive[0] == count - 1  # item 0 runs beside one child per further CPU
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=st.integers(0, 8), cpu_count=st.integers(1, 4), fail=st.one_of(st.none(), st.integers(0, 8)))
+def test_results_equal_a_serial_map_first_exception_included(count, cpu_count, fail):
+    def square_or_fail(item):
+        if item == fail:
+            raise ValueError(f"bad item {item}")
+        return item * item
+
+    def outcome(results):
+        got = []
+        try:
+            for result in results:
+                got.append(result)
+        except ValueError as e:
+            return got, str(e)
+        return got, None
+
+    with pytest.MonkeyPatch.context() as m:
+        cpus(m, cpu_count)
+        assert outcome(fork_map(square_or_fail, range(count))) == outcome(map(square_or_fail, range(count)))
 
 
 @pytest.mark.parametrize("items, count", [([], 2), ([3], 2), (range(4), 1)])
@@ -82,8 +143,25 @@ def test_an_item_whose_child_dies_is_computed_here(forks):
 
     got = list(fork_map(die_in_a_child, range(6)))
     assert [square for square, _ in got] == [i * i for i in range(6)]
-    assert [pid == parent for _, pid in got] == [bool(i % 2) or not LINUX for i in range(6)]
-    assert len(forks) == (6 if LINUX else 0)
+    assert [pid == parent for _, pid in got] == [i == 0 or bool(i % 2) or not LINUX for i in range(6)]
+    assert len(forks) == (5 if LINUX else 0)
+
+
+def test_an_exception_in_this_process_s_item_kills_and_reaps_the_children(monkeypatch, forks):
+    parent = os.getpid()
+
+    def fail_here(item):
+        if os.getpid() == parent:
+            raise ValueError(f"bad item {item}")
+        time.sleep(60)  # still running when item 0 fails
+
+    cpus(monkeypatch, 4)
+    with pytest.raises(ValueError, match="bad item 0"):
+        next(fork_map(fail_here, range(6)))
+    assert len(forks) == (3 if LINUX else 0)
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def test_an_item_whose_child_sends_part_of_its_result_is_computed_here(monkeypatch):
@@ -128,9 +206,13 @@ def test_a_child_never_forks(forks):
         # the pids of a nested fork_map's items, and of the process that ran it
         return [pid for _, pid in fork_map(where, range(3))], os.getpid()
 
-    got = list(fork_map(nested, range(2)))
-    assert all(inner == [pid] * 3 for inner, pid in got)
-    assert len(forks) == (2 if LINUX else 0)
+    (here, parent), (in_child, child) = fork_map(nested, range(2))
+    assert parent == os.getpid() and in_child == [child] * 3
+    if LINUX:
+        # the item computed here may fork: items 1 and 2 of its own fork_map
+        assert child != parent and here == [parent, *forks[1:]] and len(forks) == 3
+    else:
+        assert here == [parent] * 3 and forks == []
 
 
 def test_closing_early_kills_and_reaps_every_child(monkeypatch, forks):
@@ -138,7 +220,7 @@ def test_closing_early_kills_and_reaps_every_child(monkeypatch, forks):
     results = fork_map(where, range(6))
     assert next(results)[0] == 0
     results.close()
-    assert len(forks) == (3 if LINUX else 0)
+    assert len(forks) == (2 if LINUX else 0)
     for pid in forks:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
@@ -148,7 +230,7 @@ def test_closing_early_kills_and_reaps_every_child(monkeypatch, forks):
 def test_children_run_only_with_two_available_cpus(monkeypatch, forks, count):
     cpus(monkeypatch, count)
     assert [square for square, _ in fork_map(where, range(3))] == [0, 1, 4]
-    assert len(forks) == (3 if LINUX and count > 1 else 0)
+    assert len(forks) == (2 if LINUX and count > 1 else 0)
 
 
 _SCRIPT = """

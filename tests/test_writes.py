@@ -50,8 +50,9 @@ def test_one_call_in_the_package_opens_a_file_for_writing():
         for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call) and _writes(n)):
             owners = [f for f in functions if f.lineno <= call.lineno <= f.end_lineno]
             owner = max(owners, key=lambda f: f.lineno).name if owners else None
-            found.append((path.name, owner))
-    assert found == [("model.py", "atomic_output")]
+            found.append((path.name, owner, ast.unparse(call.args[0])))
+    # besides the one writer of files, main points a stdout whose reader has gone at the null device
+    assert found == [("cli.py", "main", "os.devnull"), ("model.py", "atomic_output", "temp")]
 
 
 def _run(argv) -> int:
@@ -148,6 +149,99 @@ def test_a_mix_killed_while_it_replaces_its_outputs_leaves_no_stale_sidecar(tmp_
             assert _run(["validate", "--in", data]) == 0, (seed, data.name)
             if sidecar_path(data).exists():
                 assert _replays(sidecar_path(data)), (seed, data.name)
+
+
+# The head of a script that runs ``main(sys.argv[2:])`` with every input split
+# in two for fork_map. It appends the pid of every child it forks to
+# ``sys.argv[1] + ".pids"``; each _HOLD entry patches a step to call hold(),
+# which, the first time in each process, touches ``sys.argv[1]`` (in the
+# parent) and sleeps. SIGINT raises KeyboardInterrupt even if the test runner
+# ignores it, as Ctrl-C does.
+_INTERRUPTIBLE = """
+import os, signal, sys, time
+from pathlib import Path
+from slotqa import baseline, cli, mixer, parallel
+signal.signal(signal.SIGINT, signal.default_int_handler)
+ready, parent = Path(sys.argv[1]), os.getpid()
+parallel.available_cpus = lambda: 2
+baseline._FORK_MIN_FLAGGED = mixer._RANGE_MIN_BYTES = 1
+real_fork = os.fork
+def fork():
+    pid = real_fork()
+    if pid:
+        with open(str(ready) + ".pids", "a") as f:
+            f.write(f"{pid}\\n")
+    return pid
+os.fork = fork
+held = []
+def hold():
+    if not held:  # once per process
+        held.append(os.getpid())
+        if os.getpid() == parent:
+            ready.touch()
+        time.sleep(60)
+"""
+_HOLD = {
+    # the parent predicts its own chunk while its child predicts the other
+    "predict": """
+real_predict = baseline.predict
+def predict(*args):
+    hold()
+    return real_predict(*args)
+baseline.predict = predict
+""",
+    # the copy pass reads each input whole (the scan reads ranges): hold after its first block
+    "mix copy": """
+real_blocks = mixer._line_blocks
+def line_blocks(path, start=0, stop=None):
+    for lines in real_blocks(path, start, stop):
+        yield lines
+        if stop is None:
+            hold()
+mixer._line_blocks = line_blocks
+""",
+}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="children are forked only on Linux")
+@pytest.mark.parametrize("hold", sorted(_HOLD))
+def test_an_interrupt_ends_like_an_error_and_leaves_the_old_outputs(tmp_path, hold):
+    def mix_config(seed):
+        (tmp_path / "mix.json").write_text(json.dumps({"base": "b", "augment": "a", "seed": seed,
+                                                       "sizes": [20, 100]}), encoding="utf-8")
+
+    out = tmp_path / "out"
+    out.mkdir()
+    mix_config(1)
+    if hold == "predict":
+        squad = Path(__file__).parent / "fixtures" / "synthetic_squad.json"
+        assert _run(["ingest-squad", "--in", squad, "--split", "train", "--out", tmp_path / "pos.jsonl"]) == 0
+        argv = ["predict-baseline", "--in", tmp_path / "pos.jsonl", "--out", out / "preds.jsonl"]
+    else:
+        (tmp_path / "base.jsonl").write_text("".join(LINE % f"b{i}" for i in range(50)), encoding="utf-8")
+        (tmp_path / "augment.jsonl").write_text("".join(LINE % f"a{i}" for i in range(200)), encoding="utf-8")
+        argv = ["mix", "--config", tmp_path / "mix.json", "--base", tmp_path / "base.jsonl",
+                "--augment", tmp_path / "augment.jsonl", "--out-dir", out]
+    assert _run(argv) == 0  # the old outputs, which the interrupted run must leave in place
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    mix_config(2)
+    ready = tmp_path / "ready"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _INTERRUPTIBLE + _HOLD[hold] + "sys.exit(cli.main(sys.argv[2:]))",
+         str(ready), *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    deadline = time.monotonic() + 60
+    while proc.poll() is None and not ready.exists() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    proc.send_signal(signal.SIGINT)
+    stdout, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stdout, stderr) == (130, "", "error: interrupted\n")
+    pids = [int(pid) for pid in Path(f"{ready}.pids").read_text().split()]
+    assert pids and not [pid for pid in pids if Path(f"/proc/{pid}").exists()]
+    assert _temporary_files(out) == []
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_a_linked_output_is_written_through_and_stays_a_link(tmp_path):
