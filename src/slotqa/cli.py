@@ -360,15 +360,14 @@ def _validate(args) -> str | int:
 @Operation("replay", "re-execute a provenance log and verify outputs",
            Flag("--log", role="in", required=True, metavar="FILE", help="a .prov.json sidecar"))
 def _replay(args) -> int:
-    """Check every step in order up to the first failing check, then run the checked steps.
+    """Check and run each step in turn and print its lines; a failed check or run raises in its turn.
 
     The steps only read recorded files, so they run through
-    :func:`~slotqa.parallel.fork_map`, the first here and each later one in a
-    child of its own; their lines are printed in step order, as a serial
-    replay prints them, and then the failed check raises.
+    :func:`~slotqa.parallel.fork_map`, which gives their lines in step order,
+    as a serial replay prints them, and a step's exception after the lines of
+    every step before it.
     """
     import contextlib
-    import filecmp
     import tempfile
 
     from .parallel import fork_map
@@ -376,57 +375,38 @@ def _replay(args) -> int:
     log = parse_sidecar(args.log).provenance_log
     if not log:
         raise ParseError(f"{args.log}: expected a sidecar object with a provenance_log")
+    mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
-        steps, failed = [], None  # a skip line, or (step, name, op, runner's values, outputs)
-        try:
-            for i, entry in enumerate(log):
-                steps.append(_replay_step(args.log, i, entry, Path(tmp) / f"step{i:03d}"))
-        except (ParseError, OSError) as e:  # raised once the steps before it have run
-            failed = e
-
-        def run(step) -> list[bool]:
-            _, _, op, values, outputs = step
-            op.run(argparse.Namespace(op=op, **values))
-            # a mismatch: an output not written again, or anything but two regular files of the same bytes
-            return [candidate.exists() and filecmp.cmp(recorded, candidate, shallow=False)
-                    for recorded, candidate in outputs]
-
-        mismatches = 0
-        runs = fork_map(run, [step for step in steps if not isinstance(step, str)])
-        with contextlib.closing(runs):
-            for step in steps:
-                if isinstance(step, str):
-                    print(step)
-                    continue
-                i, name, _, _, outputs = step
-                for (recorded, _), same in zip(outputs, next(runs)):
-                    if same:
-                        print(f"ok: step {i} ({name}) reproduces {recorded}")
-                    else:
-                        print(f"MISMATCH: step {i} ({name}) does not reproduce {recorded}")
-                        mismatches += 1
-        if failed is not None:
-            raise failed
+        steps = fork_map(lambda step: _replay_step(args.log, *step, Path(tmp)), enumerate(log))
+        with contextlib.closing(steps):
+            for lines in steps:
+                for line in lines:
+                    print(line)
+                    mismatches += line.startswith("MISMATCH")
     if mismatches:
         print(f"{mismatches} outputs differ", file=sys.stderr)
         return 1
     return 0
 
 
-def _replay_step(log_path, i, entry, workdir):
-    """Step ``i`` of a log checked for replay: its skip line, or what running it needs.
+def _replay_step(log_path, i, entry, tmp) -> list[str]:
+    """The lines replay prints for step ``i`` of a log: its skip line, or one per output it reran.
 
     Checks the recorded keys, their types and choices, then the inputs, then
     the recorded outputs; the first that fails raises :class:`ParseError`.
+    Then runs the step, writing its outputs under ``tmp``, where an earlier
+    try may have left them.
     """
+    import filecmp
+
     name = entry.get("operation")
     op = OPERATIONS.get(name) if isinstance(name, str) else None
     if op is None or not op.recorded:
-        return f"skip: step {i} ({name}) is not a replayable operation"
+        return [f"skip: step {i} ({name}) is not a replayable operation"]
     where = f"{log_path}: step {i} ({name})"
     parameters = expect(entry.get("parameters", {}), "an object", f"{where}: parameters")
     if "out" not in parameters:
-        return f"skip: step {i} ({name}) records no output path"
+        return [f"skip: step {i} ({name}) records no output path"]
     # the runner's arguments: every option the log does not record is off
     values, outputs = {flag.dest: None for flag in op.flags}, []
     for flag in op.recorded:
@@ -440,8 +420,8 @@ def _replay_step(log_path, i, entry, workdir):
         if choices and value not in choices:
             raise ParseError(f"{where}: '{prefix}{flag.key}' must be one of {list(choices)}")
         if flag.role == "out" and value:  # written again in a directory of its own: names may repeat
-            candidate = workdir / flag.dest / Path(value).name
-            candidate.parent.mkdir(parents=True)
+            candidate = tmp / f"step{i:03d}" / flag.dest / Path(value).name
+            candidate.parent.mkdir(parents=True, exist_ok=True)
             outputs.append((Path(value), candidate))
             values[flag.dest] = str(candidate)
     for flag in op.recorded:
@@ -450,7 +430,12 @@ def _replay_step(log_path, i, entry, workdir):
     for recorded, _ in outputs:
         if not recorded.exists():
             raise ParseError(f"{where}: missing recorded output {recorded}")
-    return i, name, op, values, outputs
+    op.run(argparse.Namespace(op=op, **values))
+    # a mismatch: an output not written again, or anything but two regular files of the same bytes
+    return [f"ok: step {i} ({name}) reproduces {recorded}"
+            if candidate.exists() and filecmp.cmp(recorded, candidate, shallow=False)
+            else f"MISMATCH: step {i} ({name}) does not reproduce {recorded}"
+            for recorded, candidate in outputs]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -491,7 +476,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a reader that stopped early shows here, not at exit
         return result
     except BrokenPipeError:  # the reader of stdout stopped early, as `| head` does
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # Python flushes stdout at exit
+        with open(os.devnull, "wb") as devnull:  # Python flushes stdout at exit
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

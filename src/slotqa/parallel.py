@@ -1,8 +1,9 @@
 """One way to spread independent work over this process and forked children.
 
-A child inherits every object the function needs, without pickling them,
-and sends back only its pickled result through a pipe. :func:`shares` is the
-one rule for how many pieces to cut a piece of work into.
+:func:`fork_map` forks one child per further available CPU per call, each
+computing every n-th item; it inherits every object the function needs,
+without pickling, and sends back only its pickled results through a pipe.
+:func:`shares` is the one rule for how many pieces to cut work into.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import os
 import pickle
 import signal
 import sys
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -50,38 +51,50 @@ def _may_fork() -> bool:
 def fork_map(function: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
     """Yield ``function(item)`` for each item, in item order.
 
-    This process computes the first item while forked children compute the
-    items after it, at most ``available_cpus() - 1`` at once. None is forked
-    off Linux, while another thread is alive, or in a child of ``fork_map``;
-    the item this process computes may fork. An item whose child yields no
-    result (the fork failed, or the child exited non-zero or sent nothing) is
-    computed here in its turn, so its exception is raised after every earlier
-    result. An exception or an early close kills and reaps every child.
+    With ``n = min(available_cpus(), len(items))``, this process forks ``n - 1``
+    children at the start, child ``k`` computing ``items[k::n]``, and then
+    computes ``items[::n]`` itself; each stops at its first exception. A child
+    is read when its first item's turn comes, and an item it sent no result
+    for is computed here in its turn, so the first exception comes after every
+    earlier result. None is forked off Linux, while another thread is alive,
+    or in a child of ``fork_map``; the items computed here may fork. An
+    exception or an early close kills and reaps every child not yet reaped.
     """
     items = list(items)
-    workers = available_cpus() if _may_fork() else 1
-    running: dict[int, tuple[int, int] | None] = {}  # item index -> (pid, read end), None if no fork
+    n = max(1, min(available_cpus() if _may_fork() else 1, len(items)))
+    children: dict[int, tuple[int, BinaryIO]] = {}  # k -> (pid, pipe), until the child is reaped
     try:
+        for k in range(1, n):
+            _start(children, k, function, items[k::n])
+        own, error = _prefix(function, items[::n])
+        pending = {0: own[::-1]}  # k -> results not yet yielded, the next one last
         for index, item in enumerate(items):
-            for ahead in range(index + 1, min(index + workers, len(items))):
-                if ahead not in running:
-                    running[ahead] = _start(function, items[ahead])
-            data = _finish(running.pop(index, None))
-            yield function(item) if data is None else pickle.loads(data)
+            k = index % n
+            if k not in pending:
+                pending[k] = (_finish(children, k) if k in children else [])[::-1]
+            if k == 0 and not pending[0]:
+                raise error
+            yield pending[k].pop() if pending[k] else function(item)
     finally:
-        for child in running.values():
-            if child is not None:
-                pid, read_end = child
-                os.close(read_end)
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
-def _start(function, item) -> tuple[int, int] | None:
-    """Fork a child that sends ``pickle.dumps(function(item))``: its pid and the pipe's read end.
+def _prefix(function, items) -> tuple[list, Exception | None]:
+    """``function(item)`` for the items up to the first that raises, and that exception (None if none)."""
+    results = []
+    try:
+        for item in items:
+            results.append(function(item))
+    except Exception as error:
+        return results, error
+    return results, None
 
-    None if no child could be started.
-    """
+
+def _start(children: dict[int, tuple[int, BinaryIO]], k: int, function, items) -> None:
+    """Fork child ``k``, which sends the pickled results :func:`_prefix` gives; in ``children`` once forked."""
     global _in_child
     # a child leaves through os._exit and flushes nothing, so nothing buffered is written twice
     for stream in (sys.stdout, sys.stderr):
@@ -90,21 +103,22 @@ def _start(function, item) -> tuple[int, int] | None:
     try:
         read_end, write_end = os.pipe()
     except OSError:
-        return None
+        return
     try:
         pid = os.fork()
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        return None
+        return
     if pid:
         os.close(write_end)
-        return pid, read_end
+        children[k] = pid, open(read_end, "rb")
+        return
     status = 1
     try:
         _in_child = True
         os.close(read_end)
-        data = memoryview(pickle.dumps(function(item), pickle.HIGHEST_PROTOCOL))
+        data = memoryview(pickle.dumps(_prefix(function, items)[0], pickle.HIGHEST_PROTOCOL))
         while data:
             data = data[os.write(write_end, data) :]
         status = 0
@@ -112,12 +126,11 @@ def _start(function, item) -> tuple[int, int] | None:
         os._exit(status)
 
 
-def _finish(child: tuple[int, int] | None) -> bytes | None:
-    """The pickled result of a child started by :func:`_start`, or None if it sent none."""
-    if child is None:
-        return None
-    pid, read_end = child
-    with open(read_end, "rb") as pipe:
+def _finish(children: dict[int, tuple[int, BinaryIO]], k: int) -> list:
+    """The results child ``k`` sent, [] if none; the child leaves ``children`` once it is reaped."""
+    pid, pipe = children[k]
+    with pipe:
         data = pipe.read()
     _, status = os.waitpid(pid, 0)
-    return data if data and os.waitstatus_to_exitcode(status) == 0 else None
+    del children[k]
+    return pickle.loads(data) if data and os.waitstatus_to_exitcode(status) == 0 else []

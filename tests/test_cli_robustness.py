@@ -230,6 +230,32 @@ def test_a_closed_stdout_after_a_failed_replay_check_prints_no_traceback(tmp_pat
                            " adapted.jsonl\n" if buffered else "")
 
 
+_REPEATED_CLOSED_STDOUT = """
+import os, sys
+from slotqa.cli import main
+counts = []
+for _ in range(3):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    os.dup2(write_end, 1)  # a stdout whose reader has gone
+    os.close(write_end)
+    counts.append(len(os.listdir("/proc/self/fd")))
+    counts.append(main(sys.argv[1:]))
+print(counts, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts the descriptors in /proc/self/fd")
+def test_a_closed_stdout_leaves_no_descriptor_open(corpus):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    argv = ["score", "--dataset", "adapted.jsonl", "--preds", "preds.jsonl"]
+    proc = subprocess.run([sys.executable, "-c", _REPEATED_CLOSED_STDOUT, *argv], cwd=corpus, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120)
+    counts = json.loads(proc.stderr)
+    assert counts[1::2] == [141] * 3
+    assert len(set(counts[::2])) == 1, counts  # as many descriptors open before each call
+
+
 def test_every_subcommand_names_the_encoding_of_every_file_it_opens(tmp_path):
     """A file opened with the locale's encoding would hold other bytes under another locale."""
     _seed_files(tmp_path)

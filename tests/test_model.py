@@ -368,13 +368,27 @@ def _is_tab_split(node):
             and any(getattr(arg, "value", None) == "\t" for arg in node.args))
 
 
+def _is_fork_call(node):
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "os.fork"
+
+
+def _names_available_cpus(node):
+    """A use, attribute or import of the name ``available_cpus``."""
+    name = node.name if isinstance(node, ast.alias) else None
+    return "available_cpus" in (getattr(node, "id", None), getattr(node, "attr", None), name)
+
+
 @pytest.mark.parametrize("match, owners", [
     # a report counts exactly what TransformReport.finish derives; the mixer, with no instance list, its lines
     (_is_output_count_store, [("model.py", "TransformReport")]),
     (lambda node: isinstance(node, ast.keyword) and node.arg == "output_count", [("mixer.py", "mix_files")]),
     (_is_placeholder_count, [("templates.py", "placeholder_problem")]),
     (_is_tab_split, [("model.py", "tsv_rows")]),
-], ids=["output_count_assigned", "output_count_passed", "placeholder_counted", "tsv_line_split"])
+    # how many processes a piece of work takes is decided in slotqa.parallel alone
+    (_is_fork_call, [("parallel.py", "_start")]),
+    (_names_available_cpus, [("parallel.py", "fork_map"), ("parallel.py", "shares")]),
+], ids=["output_count_assigned", "output_count_passed", "placeholder_counted", "tsv_line_split",
+        "fork_called", "available_cpus_named"])
 def test_each_rule_is_stated_in_one_place(match, owners):
     """Every node of ``src/slotqa`` that ``match`` accepts lies in a top-level definition of ``owners``."""
     found = set()

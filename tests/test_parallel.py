@@ -1,8 +1,8 @@
 """The contract of ``parallel.fork_map``: serial results, wherever the items run.
 
-The first item runs in this process and each later one in a child, so a
-test that counts forks sets ``available_cpus`` itself: under ``taskset -c 0``
-nothing forks.
+Over ``n`` processes, every n-th item from the first runs in this process and
+each other stripe in a child of its own, so a test that counts forks sets
+``available_cpus`` itself: under ``taskset -c 0`` nothing forks.
 """
 
 import errno
@@ -49,9 +49,10 @@ def test_results_come_back_in_item_order_from_children(monkeypatch, forks):
     got = list(fork_map(where, range(7)))
     assert [square for square, _ in got] == [i * i for i in range(7)]
     if LINUX:
-        # item 0 runs here, every later item in a child of its own
-        assert [pid for _, pid in got] == [os.getpid(), *forks]
-        assert len(forks) == 6 and os.getpid() not in forks
+        # items 0, 3 and 6 run here, 1 and 4 in the first child, 2 and 5 in the second
+        here, first, second = os.getpid(), *forks
+        assert [pid for _, pid in got] == [here, first, second, here, first, second, here]
+        assert len(forks) == 2 and os.getpid() not in forks
     else:
         assert {pid for _, pid in got} == {os.getpid()} and forks == []
 
@@ -64,14 +65,20 @@ def test_one_available_cpu_never_forks(monkeypatch, forks, count):
 
 
 @pytest.mark.skipif(not LINUX, reason="children are forked only on Linux")
-@pytest.mark.parametrize("count", [2, 3, 4])
-def test_while_this_process_computes_at_most_one_child_per_further_cpu_is_alive(monkeypatch, forks, count):
+@pytest.mark.parametrize("count, computed_here", [
+    pytest.param(2, list(range(10)), id="2"),  # the one child dies at item 1: its stripe runs here
+    pytest.param(3, [0, 1, 3, 4, 6, 7, 9], id="3"),  # the first child dies at item 1, the second lives
+    pytest.param(4, [0, 1, 3, 4, 5, 7, 8, 9], id="4"),  # the first dies at item 1, the third at 7 after 3
+])
+def test_while_this_process_computes_at_most_one_child_per_further_cpu_is_alive(
+    monkeypatch, forks, count, computed_here
+):
     parent = os.getpid()
     alive = []  # per item computed here: the children not yet reaped
 
     def item_here_or_die(item):
         if os.getpid() != parent:
-            if item % 3 == 1:  # computed here again, with other children running
+            if item % 3 == 1:  # its stripe is computed here, with other children running
                 os.kill(os.getpid(), signal.SIGKILL)
             time.sleep(0.02)
         else:
@@ -81,9 +88,44 @@ def test_while_this_process_computes_at_most_one_child_per_further_cpu_is_alive(
     cpus(monkeypatch, count)
     got = list(fork_map(item_here_or_die, range(10)))
     assert [square for square, _ in got] == [i * i for i in range(10)]
-    assert [i for i, (_, pid) in enumerate(got) if pid == parent] == [0, 1, 4, 7]
-    assert len(alive) == 4 and max(alive) <= count - 1
+    assert [i for i, (_, pid) in enumerate(got) if pid == parent] == computed_here
+    assert len(alive) == len(computed_here) and max(alive) <= count - 1
     assert alive[0] == count - 1  # item 0 runs beside one child per further CPU
+    assert len(forks) == count - 1
+
+
+@pytest.mark.skipif(not LINUX, reason="children are forked only on Linux")
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_while_this_process_reads_its_children_at_most_one_child_per_further_cpu_is_alive(
+    monkeypatch, forks, count
+):
+    parent = os.getpid()
+    seen = []  # per sample, taken every 2 ms: the children of the call not yet reaped
+
+    def sample(signum, frame):
+        seen.append(sum(os.path.exists(f"/proc/{pid}") for pid in forks))
+
+    def slow_in_a_child(item):
+        if os.getpid() != parent:
+            time.sleep(0.01)
+        return item
+
+    cpus(monkeypatch, count)
+    previous = signal.signal(signal.SIGALRM, sample)
+    try:
+        for items in range(11):
+            forks.clear()
+            seen.clear()
+            signal.setitimer(signal.ITIMER_REAL, 0.002, 0.002)
+            try:
+                assert list(fork_map(slow_in_a_child, range(items))) == list(range(items))
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            children = max(0, min(count, items) - 1)
+            assert len(forks) == children and max(seen, default=0) <= children, (items, seen)
+            assert seen or not children  # sampled while a child sleeps
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 
 @settings(max_examples=40, deadline=None)
@@ -133,18 +175,36 @@ def test_the_first_failing_item_raises_after_the_earlier_results(forks):
             os.waitpid(pid, os.WNOHANG)
 
 
-def test_an_item_whose_child_dies_is_computed_here(forks):
+def _computed_here_when_a_child_fails_at_item_4(monkeypatch, fail):
+    """Of six items on three CPUs, those computed here when the first child calls ``fail`` at item 4."""
     parent = os.getpid()
 
-    def die_in_a_child(item):
-        if item % 2 and os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
+    def fail_in_a_child(item):
+        if item == 4 and os.getpid() != parent:
+            fail()
         return where(item)
 
-    got = list(fork_map(die_in_a_child, range(6)))
+    cpus(monkeypatch, 3)
+    got = list(fork_map(fail_in_a_child, range(6)))
     assert [square for square, _ in got] == [i * i for i in range(6)]
-    assert [pid == parent for _, pid in got] == [i == 0 or bool(i % 2) or not LINUX for i in range(6)]
-    assert len(forks) == (5 if LINUX else 0)
+    return [i for i, (_, pid) in enumerate(got) if pid == parent]
+
+
+def test_an_item_whose_child_dies_is_computed_here(monkeypatch, forks):
+    here = _computed_here_when_a_child_fails_at_item_4(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    # the first child sends nothing, so its items 1 and 4 are computed here
+    assert here == ([0, 1, 3, 4] if LINUX else list(range(6)))
+    assert len(forks) == (2 if LINUX else 0)
+
+
+def test_a_child_sends_its_results_up_to_its_first_exception(monkeypatch, forks):
+    def fail():
+        raise ValueError("only in a child")
+
+    here = _computed_here_when_a_child_fails_at_item_4(monkeypatch, fail)
+    # the first child sends item 1's result, and item 4 is computed here
+    assert here == ([0, 3, 4] if LINUX else list(range(6)))
+    assert len(forks) == (2 if LINUX else 0)
 
 
 def test_an_exception_in_this_process_s_item_kills_and_reaps_the_children(monkeypatch, forks):
@@ -156,12 +216,48 @@ def test_an_exception_in_this_process_s_item_kills_and_reaps_the_children(monkey
         time.sleep(60)  # still running when item 0 fails
 
     cpus(monkeypatch, 4)
+    start = time.monotonic()
     with pytest.raises(ValueError, match="bad item 0"):
         next(fork_map(fail_here, range(6)))
+    assert time.monotonic() - start < 10  # raised without waiting for a child
     assert len(forks) == (3 if LINUX else 0)
     for pid in forks:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.skipif(not LINUX, reason="children are forked only on Linux")
+def test_an_interrupt_while_this_process_reads_a_child_kills_and_reaps_it(forks):
+    parent = os.getpid()
+
+    def sleep_in_a_child(item):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return item
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)  # item 0 is computed by then: this process reads item 1
+        with pytest.raises(KeyboardInterrupt):
+            list(fork_map(sleep_in_a_child, range(2)))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+def test_a_result_far_larger_than_a_pipe_buffer_is_read_in_full(forks):
+    def large(item):
+        return os.getpid(), bytes([item]) * (2 << 20)  # 2 MiB
+
+    got = list(fork_map(large, range(2)))
+    assert [data for _, data in got] == [bytes([i]) * (2 << 20) for i in range(2)]
+    assert [pid for pid, _ in got] == [os.getpid(), *forks] and len(forks) == (1 if LINUX else 0)
 
 
 def test_an_item_whose_child_sends_part_of_its_result_is_computed_here(monkeypatch):
@@ -209,8 +305,8 @@ def test_a_child_never_forks(forks):
     (here, parent), (in_child, child) = fork_map(nested, range(2))
     assert parent == os.getpid() and in_child == [child] * 3
     if LINUX:
-        # the item computed here may fork: items 1 and 2 of its own fork_map
-        assert child != parent and here == [parent, *forks[1:]] and len(forks) == 3
+        # the item computed here may fork: item 1 of its own fork_map
+        assert child != parent and here == [parent, forks[1], parent] and len(forks) == 2
     else:
         assert here == [parent] * 3 and forks == []
 
@@ -230,7 +326,7 @@ def test_closing_early_kills_and_reaps_every_child(monkeypatch, forks):
 def test_children_run_only_with_two_available_cpus(monkeypatch, forks, count):
     cpus(monkeypatch, count)
     assert [square for square, _ in fork_map(where, range(3))] == [0, 1, 4]
-    assert len(forks) == (2 if LINUX and count > 1 else 0)
+    assert len(forks) == (1 if LINUX and count > 1 else 0)
 
 
 _SCRIPT = """
