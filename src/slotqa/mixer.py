@@ -21,6 +21,7 @@ from .model import (
     DataError,
     ParseError,
     TransformReport,
+    _scan_once,
     atomic_output,
     decode_line,
     expect,
@@ -105,13 +106,13 @@ _RANGE_MIN_BYTES = 2 << 20
 _BLOCK_BYTES = 1 << 18
 
 
-def _line_blocks(path: Path, start: int = 0, stop: int | None = None) -> Iterator[list[bytes]]:
-    """The lines of bytes ``[start, stop)`` of a file, one list per block read.
+def _line_blocks(path: Path, start: int = 0, stop: int | None = None) -> Iterator[bytes]:
+    """Bytes ``[start, stop)`` of a file, in blocks cut at line boundaries.
 
-    Lines split as text mode's universal newlines split them (``\\n``,
-    ``\\r\\n`` or a bare ``\\r``) and come without their terminators. A
-    block is cut only at a line boundary, never inside a ``\\r\\n`` pair.
-    No list is empty: each splits a non-empty slice or a non-empty carry.
+    Lines end as text mode's universal newlines end them (``\\n``,
+    ``\\r\\n`` or a bare ``\\r``), so ``block.splitlines()`` gives a
+    block's lines without their terminators. Every block but the last ends
+    in a terminator, and none inside a ``\\r\\n`` pair. No block is empty.
     """
     with open(path, "rb") as f:
         f.seek(start)
@@ -122,14 +123,14 @@ def _line_blocks(path: Path, start: int = 0, stop: int | None = None) -> Iterato
             chunk = f.read(min(max(_BLOCK_BYTES, len(carry)), remaining))
             if not chunk:
                 if carry:
-                    yield carry.splitlines()
+                    yield carry
                 return
             remaining -= len(chunk)
             data = carry + chunk
             # a final \r may be the first half of \r\n, so never cut right after it
             cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
             if cut:
-                yield data[:cut].splitlines()
+                yield data[:cut]
             carry = data[cut:]
 
 
@@ -150,37 +151,61 @@ def _ranges(path: Path, parts: int) -> list[tuple[int, int]]:
 
 def _scan_range(
     path: Path, start: int, stop: int, base_ids: set[str] | None
-) -> tuple[int, list[str], str | None]:
+) -> tuple[int, list[str], str | None, int, bool]:
     """Validate the JSONL lines in bytes ``[start, stop)`` of a file.
 
-    Returns ``(line count, ids, error)``. The ids are those also in
-    ``base_ids``, or every id when ``base_ids`` is None. ``error`` is None,
-    or the message for the first invalid line; the scan stops there, so
-    that line is the last one counted. Runs in a forked child on large
-    inputs, so it returns only picklable values.
+    Returns ``(line count, ids, error, size, plain)``. The ids are those
+    also in ``base_ids``, or every id when ``base_ids`` is None. ``error``
+    is None, or the message for the first invalid line; the scan stops
+    there, so that line is the last one counted. ``size`` is the number of
+    bytes read; ``plain`` says they hold no ``\\r`` and are empty or end in
+    ``\\n``. A block is decoded once; a line the scanner does not take whole
+    goes to :func:`~slotqa.model.decode_line`, which words its error. Runs
+    in a forked child on large inputs, so it returns only picklable values.
     """
-    count = 0
+    count = size = 0
     ids = []
-    for lines in _line_blocks(path, start, stop):
-        for line in lines:
+    plain, block = True, b"\n"  # an empty range is plain
+    for block in _line_blocks(path, start, stop):
+        size += len(block)
+        try:
+            text, bad = block.decode("utf-8"), None
+        except UnicodeDecodeError as e:  # the line it is on is decoded alone, to word the error
+            cut = max(block.rfind(b"\n", 0, e.start), block.rfind(b"\r", 0, e.start)) + 1
+            text, bad = block[:cut].decode("utf-8"), block[cut:].splitlines()[0]
+        if b"\r" in block:
+            plain, text = False, text.replace("\r\n", "\n").replace("\r", "\n")
+        if text and text[-1] != "\n":
+            text += "\n"
+        pos, end = 0, len(text)
+        while pos < end:
+            nl = text.find("\n", pos)
             count += 1
             try:
-                text = line.decode("utf-8")
-            except UnicodeDecodeError as e:
-                return count, ids, f"invalid UTF-8 at byte {e.start}: {e.reason}"
-            try:
-                obj = decode_line(text)
-            except ParseError as e:
-                return count, ids, str(e)
+                obj, stop_at = _scan_once(text, pos)
+            except (StopIteration, ValueError, RecursionError):
+                stop_at = -1
+            # a value counts only if it is the whole line
+            if stop_at != nl:
+                try:
+                    obj = decode_line(text[pos:nl])
+                except ParseError as e:
+                    return count, ids, str(e), size, False
             if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
-                return count, ids, "missing string field 'id'"
+                return count, ids, "missing string field 'id'", size, False
             if base_ids is None or obj["id"] in base_ids:
                 ids.append(obj["id"])
-    return count, ids, None
+            pos = nl + 1
+        if bad is not None:
+            try:
+                bad.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return count + 1, ids, f"invalid UTF-8 at byte {e.start}: {e.reason}", size, False
+    return count, ids, None, size, plain and block.endswith(b"\n")
 
 
-def _scan(path: Path, base_ids: set[str] | None) -> tuple[int, list[str]]:
-    """Line count and ids (as in :func:`_scan_range`) of a whole JSONL file.
+def _scan(path: Path, base_ids: set[str] | None) -> tuple[int, list[str], int, bool]:
+    """Line count, ids, size and plainness (as in :func:`_scan_range`) of a whole JSONL file.
 
     The file is split into ranges of at least ``_RANGE_MIN_BYTES``
     (:func:`~slotqa.parallel.shares`), scanned through
@@ -189,17 +214,42 @@ def _scan(path: Path, base_ids: set[str] | None) -> tuple[int, list[str]]:
     """
     from .parallel import fork_map, shares
 
-    count = 0
+    count, size, plain = 0, 0, True
     ids: list[str] = []
     ranges = _ranges(path, shares(os.path.getsize(path), _RANGE_MIN_BYTES))
     scans = fork_map(lambda bounds: _scan_range(path, *bounds, base_ids), ranges)
     with contextlib.closing(scans):
-        for lines, found, error in scans:
+        for lines, found, error, scanned, range_plain in scans:
             count += lines
             if error is not None:
                 raise ParseError(f"{path}: line {count}: {error}")
             ids.extend(found)
-    return count, ids
+            size += scanned
+            plain = plain and range_plain
+    return count, ids, size, plain
+
+
+def _copy_inputs(out: Any, inputs: tuple[tuple[Path, int, int], ...]) -> bool:
+    """Copy the ``size`` scanned bytes of each ``(path, line count, size)`` input into ``out`` in the kernel.
+
+    False, with ``out`` emptied, where the kernel cannot: off Linux, or on an OSError such as EXDEV.
+    """
+    if not hasattr(os, "copy_file_range"):
+        return False
+    dst, offset = out.fileno(), 0
+    try:
+        for path, _, size in inputs:
+            with open(path, "rb") as f:
+                done, src = 0, f.fileno()
+                while done < size and (n := os.copy_file_range(src, dst, size - done, done, offset + done)):
+                    done += n
+                if done != size or os.fstat(src).st_size != size:
+                    raise DataError(f"{path}: changed while being mixed")
+            offset += size
+    except OSError:
+        os.ftruncate(dst, 0)
+        return False
+    return True
 
 
 def mix_files(
@@ -214,16 +264,22 @@ def mix_files(
     Each output's sidecar extends the base's provenance log by a ``mix``
     entry. No output may overwrite an input or ``config``, the file the spec
     was read from. Lines are copied verbatim, so inputs must already be
-    canonical JSONL. Each input is read twice, whatever the number of sizes:
-    once to validate every line and count the augment, once to copy. A file
-    of 4 MiB or more is validated in ranges of at least 2 MiB, one per
-    available CPU, through :func:`~slotqa.parallel.fork_map`: this process
-    scans the first while forked children, which start no interpreter, scan
-    the rest, so a script needs no ``if __name__ == "__main__"`` guard.
-    Memory stays bounded by the base ids and a rank table of 4 bytes per
-    augment line, never by instance objects. The rank table, and the shuffle
-    that draws it, is built only when some size is below the augment's line
-    count, so replaying an all-taking mix does no shuffle.
+    canonical JSONL. One scan reads each input once, validating every line
+    and counting the augment. An output that takes every augment line is
+    then copied in the kernel when neither input holds a ``\\r`` and each is
+    empty or ends in ``\\n``; every other output, or one the kernel cannot
+    copy, is written by one copy pass that reads each input once more. The
+    bytes are the same either way. An input whose size or line count no
+    longer matches its scan is a :class:`DataError`; no output is replaced.
+    A file of 4 MiB or more is validated in ranges of at least 2 MiB, one
+    per available CPU, through :func:`~slotqa.parallel.fork_map`: this
+    process scans the first while forked children, which start no
+    interpreter, scan the rest, so a script needs no
+    ``if __name__ == "__main__"`` guard. Memory stays bounded by the base
+    ids and a rank table of 4 bytes per augment line, never by instance
+    objects. The rank table, and the shuffle that draws it, is built only
+    when some size is below the augment's line count, so replaying an
+    all-taking mix does no shuffle.
     """
     spec.validate()
     base_path, augment_path = Path(base_path), Path(augment_path)
@@ -241,8 +297,8 @@ def mix_files(
             f"{base_token!r} vs {augment_token!r}"
         )
 
-    base_count, base_ids = _scan(base_path, None)
-    population, colliding = _scan(augment_path, set(base_ids))
+    base_count, base_ids, base_size, base_plain = _scan(base_path, None)
+    population, colliding, augment_size, augment_plain = _scan(augment_path, set(base_ids))
     if colliding:
         colliding = sorted(set(colliding))
         raise DataError(
@@ -274,19 +330,23 @@ def mix_files(
             meta = base_meta.derive((), report.operation, report.parameters, spec.seed, name=name)
             outs.append(stack.enter_context(atomic_output(out_path, binary=True, sidecar=meta)))
             results.append((name, out_path, report))
-        for lines in _line_blocks(base_path):
-            data = b"\n".join(lines) + b"\n"
-            for out in outs:
-                out.write(data)
-        first = 0
-        for lines in _line_blocks(augment_path):
-            ranks = rank[first : first + len(lines)] if rank is not None else ()
-            first += len(lines)
-            for k, out in zip(spec.sizes, outs):
-                kept = lines if k >= population else [line for line, r in zip(lines, ranks) if r < k]
-                if kept:
-                    out.write(b"\n".join(kept) + b"\n")
-        # raised inside the block, so that no output is replaced
-        if first != population:
-            raise DataError(f"{augment_path}: changed while being mixed")
+        inputs = ((base_path, base_count, base_size), (augment_path, population, augment_size))
+        # the copy loop rejoins lines with \n: an all-taking output of plain inputs is their bytes
+        loop = [(k, out) for k, out in zip(spec.sizes, outs)
+                if not (k >= population and base_plain and augment_plain and _copy_inputs(out, inputs))]
+        # the copy loop writes the other outputs, if any, reading each input once more; a
+        # change is raised inside the block, so that no output is replaced
+        for (path, count, _), ranks_of in zip(inputs, (None, rank) if loop else ()):
+            first = 0
+            for block in _line_blocks(path):
+                lines = block.splitlines()
+                ranks = ranks_of[first : first + len(lines)] if ranks_of is not None else ()
+                first += len(lines)
+                for k, out in loop:
+                    kept = lines if ranks_of is None or k >= population else [
+                        line for line, r in zip(lines, ranks) if r < k]
+                    if kept:
+                        out.write(b"\n".join(kept) + b"\n")
+            if first != count:
+                raise DataError(f"{path}: changed while being mixed")
     return results

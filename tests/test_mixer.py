@@ -23,7 +23,7 @@ from slotqa import (
     write_dataset,
 )
 from slotqa.mixer import DEFAULT_SIZES
-from slotqa.model import dumps_instance, sidecar_path
+from slotqa.model import decode_line, dumps_instance, sidecar_path
 
 from helpers import make_dataset, make_instance, oracle_sample, record_forks
 
@@ -508,30 +508,73 @@ BAD_LINES = {
     "bad JSON": b'{"id": "x",',
     "missing id": b'{"question": "q"}',
     "non-string id": b'{"id": 7}',
+    "non-object": b'["a", "b"]',
     "invalid UTF-8": b'{"id": "caf\xe9"}',
+    "UTF-8 cut by the newline": b'{"id": "caf\xc3',
     "trailing data": (LINE % "t").encode() + b" x",
+    "leading BOM": b"\xef\xbb\xbf" + (LINE % "t").encode(),
+    # the scanner would take both lines as one object; each line alone is invalid
+    "object spanning a newline": b'{"id":\n"t"}',
+    # accepted: json.loads takes JSON whitespace around the value
+    "trailing whitespace": (LINE % "t").encode() + b" \t",
 }
 
 
+def oracle_scan_error(path):
+    """The ParseError message of a line-by-line scan of a JSONL file, or None when every line passes."""
+    for number, line in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as e:
+            return f"{path}: line {number}: invalid UTF-8 at byte {e.start}: {e.reason}"
+        try:
+            obj = decode_line(text)
+        except ParseError as e:
+            return f"{path}: line {number}: {e}"
+        if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
+            return f"{path}: line {number}: missing string field 'id'"
+    return None
+
+
+def scan_error(spec, base, augment, out_dir):
+    """The ParseError message of mix_files, or None when it succeeds."""
+    try:
+        mix_files(spec, base, augment, out_dir)
+    except ParseError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
 @pytest.mark.parametrize("kind", sorted(BAD_LINES))
-def test_parallel_scan_reports_the_same_error(tmp_path, monkeypatch, kind):
+def test_parallel_scan_reports_the_same_error(tmp_path, monkeypatch, kind, newline):
     base = tmp_path / "base.jsonl"
     augment = tmp_path / "augment.jsonl"
     write_dataset(numbered(2, "b"), base)
     lines = [(LINE % f"a{i:02d}").encode() for i in range(30)]
     lines[21] = BAD_LINES[kind]
     lines[27] = BAD_LINES[kind]
-    augment.write_bytes(b"\n".join(lines) + b"\n")
+    end = newline.encode()
+    augment.write_bytes(end.join(lines) + end)
     _, (second, stop) = mixer._ranges(augment, 2)
-    assert second <= sum(len(line) + 1 for line in lines[:21]) < stop
+    line_22 = sum(len(line) + len(end) for line in lines[:21])
+    assert second <= line_22 < stop
+    want = oracle_scan_error(augment)
+    assert (want is None) == (kind == "trailing whitespace")
+    if want is not None:
+        assert want.startswith(f"{augment}: line 22: ")
     spec = spec_for((5,), seed=1)
-    with pytest.raises(ParseError) as serial:
-        mix_files(spec, base, augment, tmp_path / "serial")
-    assert f"{augment}: line 22: " in str(serial.value)
+    assert scan_error(spec, base, augment, tmp_path / "serial") == want
+    # line 22 first in a block, last in a block, and blocks shorter than a line
+    line_23 = line_22 + len(lines[21]) + len(end)
+    for block in (line_22, line_23, 1, 50, 200):
+        for parts in (1, 2, 3):
+            with monkeypatch.context() as m:
+                m.setattr(mixer, "_BLOCK_BYTES", block)
+                in_ranges(m, parts, fork=False)
+                assert scan_error(spec, base, augment, tmp_path / f"b{block}p{parts}") == want
     in_ranges(monkeypatch, 2)
-    with pytest.raises(ParseError) as forked:
-        mix_files(spec, base, augment, tmp_path / "parallel")
-    assert str(forked.value) == str(serial.value)
+    assert scan_error(spec, base, augment, tmp_path / "parallel") == want
 
 
 def test_parallel_scan_finds_collisions_in_every_range(tmp_path, forks):
@@ -588,12 +631,15 @@ def test_line_blocks_split_like_text_mode(pieces, block, parts):
         with open(path, "r", encoding="utf-8") as f:
             want = [line[:-1] if line.endswith("\n") else line for line in f]
         blocks = [
-            lines
+            block
             for start, stop in mixer._ranges(path, parts)
-            for lines in mixer._line_blocks(path, start, stop)
+            for block in mixer._line_blocks(path, start, stop)
         ]
+        data = path.read_bytes()
     assert all(blocks)
-    assert [line.decode("utf-8") for lines in blocks for line in lines] == want
+    assert b"".join(blocks) == data
+    # a cut inside a line or a \r\n pair would split one line in two
+    assert [line.decode("utf-8") for block in blocks for line in block.splitlines()] == want
 
 
 @pytest.mark.parametrize("aliased", ["base", "augment"])
@@ -622,24 +668,169 @@ def test_mix_files_names_a_corrupt_sidecar(tmp_path):
         mix_files(spec_for((4,), seed=0), base, augment, tmp_path / "out")
 
 
-def test_mix_files_notices_an_augment_that_changes_after_the_scan(tmp_path, monkeypatch):
-    base, augment = tmp_path / "base.jsonl", tmp_path / "augment.jsonl"
-    write_dataset(numbered(3, "b"), base)
-    write_dataset(numbered(9, "a"), augment)
+def _change_after_scan(m, victim, change):
+    """Apply ``change`` to the file at ``victim`` right after mix_files has scanned it."""
     real_scan = mixer._scan
 
-    def scan_then_append(path, base_ids):
+    def scan_then_change(path, base_ids):
         result = real_scan(path, base_ids)
-        if path == augment:
-            with open(augment, "a", encoding="utf-8") as f:
-                f.write(LINE % "late" + "\n")
+        if path == victim:
+            change(path)
         return result
 
+    m.setattr(mixer, "_scan", scan_then_change)
+
+
+def _append_a_line(path):
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(LINE % "late" + "\n")
+
+
+def _drop_the_last_line(path):
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:-1]))
+
+
+# size 4 samples the 9-line augment and goes through the copy loop; 9 and 20
+# take every line and are copied in the kernel
+@pytest.mark.parametrize("sizes", [(4,), (9,), (4, 20)], ids=["loop", "kernel", "both"])
+@pytest.mark.parametrize("change", [_append_a_line, _drop_the_last_line], ids=["grows", "shrinks"])
+@pytest.mark.parametrize("victim", ["base", "augment"])
+def test_mix_files_notices_an_augment_that_changes_after_the_scan(tmp_path, monkeypatch, sizes, change, victim):
+    inputs = {"base": tmp_path / "base.jsonl", "augment": tmp_path / "augment.jsonl"}
+    write_dataset(numbered(3, "b"), inputs["base"])
+    write_dataset(numbered(9, "a"), inputs["augment"])
     out = tmp_path / "out"
-    mix_files(spec_for((4,), seed=0), base, augment, out)
+    mix_files(spec_for(sizes, seed=0), inputs["base"], inputs["augment"], out)
     before = {path.name: path.read_bytes() for path in out.iterdir()}
-    monkeypatch.setattr(mixer, "_scan", scan_then_append)
-    with pytest.raises(DataError, match="changed while being mixed"):
-        mix_files(spec_for((4,), seed=1), base, augment, out)
+    _change_after_scan(monkeypatch, inputs[victim], change)
+    with pytest.raises(DataError, match=f"{victim}.jsonl: changed while being mixed"):
+        mix_files(spec_for(sizes, seed=1), inputs["base"], inputs["augment"], out)
     # a failed mix replaces no output and leaves no temporary file
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("base_lines", [0, 3])
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "no kernel"])
+def test_a_base_that_grows_after_the_scan_is_noticed(tmp_path, monkeypatch, base_lines, kernel):
+    # without a kernel copy, every output goes through the loop, which counts the base's lines
+    base, augment = tmp_path / "base.jsonl", tmp_path / "augment.jsonl"
+    write_dataset(numbered(base_lines, "b"), base)
+    write_dataset(numbered(9, "a"), augment)
+    if not kernel:
+        monkeypatch.delattr(os, "copy_file_range", raising=False)
+    _change_after_scan(monkeypatch, base, _append_a_line)
+    with pytest.raises(DataError, match="base.jsonl: changed while being mixed"):
+        mix_files(spec_for((9,), seed=1), base, augment, tmp_path / "out")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+# --- an output that takes every augment line is copied in the kernel ---
+
+
+def _copy_counter(m):
+    """Count the calls to ``os.copy_file_range``; the list of their byte counts."""
+    calls, real = [], os.copy_file_range
+
+    def copy(src, dst, count, offset_src=None, offset_dst=None):
+        calls.append(count)
+        return real(src, dst, count, offset_src, offset_dst)
+
+    m.setattr(os, "copy_file_range", copy)
+    return calls
+
+
+ENDINGS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def jsonl_files(draw, prefix):
+    """JSONL bytes of mix lines: any line endings, a final newline or not, possibly empty."""
+    ends = draw(st.lists(st.sampled_from(ENDINGS), max_size=12))
+    last = draw(st.sampled_from(ENDINGS + [""])) if ends else ""
+    ends = ends[:-1] + [last] if ends else []
+    return "".join(LINE % f"{prefix}{i}" + end for i, end in enumerate(ends)).encode()
+
+
+@pytest.mark.skipif(not hasattr(os, "copy_file_range"), reason="no kernel copy on this platform")
+@settings(max_examples=80, deadline=None)
+@given(
+    base_bytes=jsonl_files("b"),
+    augment_bytes=jsonl_files("a"),
+    block=st.integers(1, 400),
+    parts=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+    sizes=st.sets(st.integers(1, 16), min_size=1, max_size=4),
+)
+def test_kernel_copy_writes_the_bytes_of_the_copy_loop(base_bytes, augment_bytes, block, parts, seed, sizes):
+    spec = spec_for(sorted(sizes), seed)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as m:
+        tmp = Path(tmp)
+        base, augment = tmp / "base.jsonl", tmp / "augment.jsonl"
+        base.write_bytes(base_bytes)
+        augment.write_bytes(augment_bytes)
+        want = text_mode_outputs(base, augment, spec.sizes, spec.seed)
+        m.setattr(mixer, "_BLOCK_BYTES", block)
+        in_ranges(m, parts, fork=False)
+        calls = _copy_counter(m)
+        got = mixed_bytes(spec, base, augment, tmp / "kernel")
+        m.delattr(os, "copy_file_range")
+        looped = mixed_bytes(spec, base, augment, tmp / "loop")
+        left = [path.name for path in tmp.rglob("*.tmp")]
+    assert got == looped == want
+    assert left == []
+    population = len(augment_bytes.splitlines())
+    plain = all(b"\r" not in data and data[-1:] in (b"", b"\n") for data in (base_bytes, augment_bytes))
+    # at most one copy of each non-empty input per output that takes every augment line
+    kernel_outputs = sum(k >= population for k in spec.sizes) if plain else 0
+    assert len(calls) <= kernel_outputs * (bool(base_bytes) + bool(augment_bytes))
+    assert bool(calls) == bool(kernel_outputs and base_bytes + augment_bytes)
+
+
+def _kernel_cannot_copy(m, failing_call):
+    """``os.copy_file_range`` raises EXDEV from call ``failing_call`` on (1-based), or is missing if 0."""
+    if not failing_call:
+        m.delattr(os, "copy_file_range")
+        return
+    calls, real = [], os.copy_file_range
+
+    def copy(*args):
+        calls.append(args)
+        if len(calls) >= failing_call:
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+        return real(*args)
+
+    m.setattr(os, "copy_file_range", copy)
+
+
+@pytest.mark.skipif(not hasattr(os, "copy_file_range"), reason="no kernel copy on this platform")
+@pytest.mark.parametrize("failing_call", [0, 1, 2, 3], ids=["missing", "first call", "second call", "third call"])
+def test_mix_files_falls_back_to_the_copy_loop(tmp_path, monkeypatch, failing_call):
+    base, augment = tmp_path / "base.jsonl", tmp_path / "augment.jsonl"
+    write_dataset(numbered(4, "b"), base)
+    write_dataset(numbered(30, "a"), augment)
+    # 3 samples; 30 and 50 take every line, so call 2 fails inside the first
+    # kernel-copied output and call 3 at the start of the second
+    spec = spec_for((3, 30, 50), seed=2)
+    want = text_mode_outputs(base, augment, spec.sizes, spec.seed)
+    assert mixed_bytes(spec, base, augment, tmp_path / "kernel") == want
+    _kernel_cannot_copy(monkeypatch, failing_call)
+    assert mixed_bytes(spec, base, augment, tmp_path / "fallback") == want
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "copy_file_range"), reason="no kernel copy on this platform")
+def test_a_short_kernel_copy_replaces_no_output(tmp_path, monkeypatch):
+    base, augment = tmp_path / "base.jsonl", tmp_path / "augment.jsonl"
+    write_dataset(numbered(4, "b"), base)
+    write_dataset(numbered(30, "a"), augment)
+    out = tmp_path / "out"
+    spec = spec_for((3, 30), seed=2)
+    mix_files(spec, base, augment, out)
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    real = os.copy_file_range
+    # the source ends early: the augment's copy finds no more bytes
+    monkeypatch.setattr(os, "copy_file_range", lambda src, dst, count, *offsets: 0 if offsets[1] else real(src, dst, count, *offsets))
+    with pytest.raises(DataError, match="augment.jsonl: changed while being mixed"):
+        mix_files(spec_for((3, 30), seed=5), base, augment, out)
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
