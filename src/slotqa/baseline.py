@@ -22,7 +22,7 @@ checked by exhaustive enumeration:
 
 idf(w) = ln((1 + N) / (1 + df(w))) + 1 over the instance contexts of a
 dataset, so unseen words get the maximum rarity value and an empty corpus
-scores every word 1.0. An ``IdfTable`` computes each word's weight once.
+scores every word 1.0. ``predict`` computes each weight once per sentence.
 
 ``predict_dataset`` makes one pass over each context's set of token strings:
 it counts document frequencies and flags the instances whose context shares
@@ -117,32 +117,16 @@ class BaselineConfig(NamedTuple):
         return self._asdict()
 
 
-class IdfTable:
-    """Document frequencies over a corpus; a table of no documents scores every word 1.0.
+class IdfTable(NamedTuple):
+    """Document frequencies over a corpus; a table of no documents scores every word 1.0."""
 
-    Each word's weight is cached on first use; the cache is not part of the value.
-    """
-
-    __slots__ = ("n_docs", "doc_freq", "_weights")
-
-    def __init__(self, n_docs: int = 0, doc_freq: Mapping[str, int] | None = None) -> None:
-        self.n_docs, self.doc_freq, self._weights = n_docs, doc_freq, {}
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not IdfTable:
-            return NotImplemented
-        return (self.n_docs, self.doc_freq) == (other.n_docs, other.doc_freq)
-
-    def __repr__(self) -> str:
-        return f"IdfTable(n_docs={self.n_docs!r}, doc_freq={self.doc_freq!r})"
+    n_docs: int = 0
+    doc_freq: Mapping[str, int] | None = None
 
     def idf(self, token: str) -> float:
-        weight = self._weights.get(token)
-        if weight is None:
-            df = self.doc_freq.get(token, 0) if self.doc_freq else 0
-            weight = math.log((1 + self.n_docs) / (1 + df)) + 1.0
-            self._weights[token] = weight
-        return weight
+        n_docs, doc_freq = self
+        df = doc_freq.get(token, 0) if doc_freq else 0
+        return math.log((1 + n_docs) / (1 + df)) + 1.0
 
 
 def uniform_idf() -> IdfTable:

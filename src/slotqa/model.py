@@ -462,15 +462,22 @@ def sidecar_path(path: str | Path) -> Path:
 
 
 def refuse_overwrite(outputs: Iterable, inputs: Iterable) -> None:
-    """A ParseError if an output or its sidecar is not a regular file or would overwrite an input."""
+    """A ParseError if an output or its sidecar is not a regular file or would overwrite an input or another output."""
     sources = [side for p in inputs if p for side in (Path(p), sidecar_path(p)) if side.exists()]
-    for out in filter(None, outputs):
+    outputs = list(filter(None, outputs))
+    for out in outputs:
         for written in (Path(out), sidecar_path(out)):
             if written.exists() and not written.is_file():
                 raise ParseError(f"output {written} is not a regular file")
             for source in sources:
                 if written.exists() and written.samefile(source):
                     raise ParseError(f"output {written} would overwrite input {source}")
+    written_by: dict[str, str] = {}  # the real path of each file written: what writes it
+    for out in outputs:
+        for written, what in ((Path(out), f"output {out}"), (sidecar_path(out), f"the sidecar of output {out}")):
+            if (real := os.path.realpath(written)) in written_by:
+                raise ParseError(f"{what} would overwrite {written_by[real]}")
+            written_by[real] = what
 
 
 @contextlib.contextmanager

@@ -98,22 +98,36 @@ def test_idf_formula():
     assert table.idf("unseen") == math.log(2 / 1) + 1
 
 
-def test_idf_weights_are_cached_without_changing_the_table():
+def test_an_idf_table_is_a_value():
     corpus = make_dataset(
         make_instance(id="d0", context="apple banana"),
         make_instance(id="d1", context="apple cherry"),
     )
     table = build_idf(corpus)
     fresh = build_idf(corpus)
-    # df 2, df 1 and unseen, each asked twice: the cached float is the formula's
+    # df 2, df 1 and unseen, each asked twice: the weight is the formula's
     for word, df in [("apple", 2), ("banana", 1), ("unseen", 0)] * 2:
         assert table.idf(word) == math.log((1 + 2) / (1 + df)) + 1.0
     assert table == fresh
+    assert table == IdfTable(2, table.doc_freq) == (2, table.doc_freq)
     assert repr(table) == repr(fresh)
     assert repr(table) == f"IdfTable(n_docs=2, doc_freq={table.doc_freq!r})"
     assert table != IdfTable(n_docs=3, doc_freq=table.doc_freq)
     assert uniform_idf().idf("x") == uniform_idf().idf("x") == 1.0
     assert uniform_idf() == IdfTable(n_docs=0, doc_freq={})
+    with pytest.raises(AttributeError):
+        table.n_docs = 3
+    with pytest.raises(AttributeError):
+        table.doc_freq = {}
+
+
+def test_equal_idf_tables_give_equal_weights_after_their_mapping_changes():
+    doc_freq = {"x": 9}
+    asked, fresh = IdfTable(9, doc_freq), IdfTable(9, doc_freq)
+    assert asked.idf("x") == 1.0
+    doc_freq["x"] = 0  # no weight asked before outlives the mapping it was read from
+    assert asked == fresh
+    assert asked.idf("x") == fresh.idf("x") == math.log(10 / 1) + 1.0
 
 
 @given(st.text())

@@ -932,6 +932,39 @@ def test_an_output_that_would_overwrite_an_input_is_refused(
 
 
 @pytest.mark.parametrize(
+    "argv, earlier",
+    [
+        (["--report", "{out}"], "output {out}"),
+        (["--report", "{out}.prov.json"], "the sidecar of output {out}"),
+        (["--templates-out", "{out}"], "output {out}"),
+        (["--templates-out", "{tmp}/r.json", "--report", "{tmp}/r.json"], "output {tmp}/r.json"),
+        (["negativize", "--in", "{pos}", "--out", "{tmp}/x", "--report", "{tmp}/x"], "output {tmp}/x"),
+        (["--report", "{link}"], "output {out}"),
+    ],
+    ids=["report", "report-sidecar", "templates-out", "templates-out-report", "negativize-report", "symlink"],
+)
+def test_an_output_that_would_overwrite_another_output_is_refused(
+    tmp_path, squad_file, uwre_file, capsys, argv, earlier
+):
+    pos, out = tmp_path / "pos.jsonl", tmp_path / "u.jsonl"
+    main(["ingest-squad", "--in", str(squad_file), "--split", "train", "--out", str(pos)])
+    (tmp_path / "link.jsonl").symlink_to(out)  # dangling: the output is not written yet
+    capsys.readouterr()
+    names = dict(pos=pos, out=out, link=tmp_path / "link.jsonl", tmp=tmp_path)
+    if argv[0] != "negativize":  # the options of ingest-uwre after its --out
+        argv = ["ingest-uwre", "--in", str(uwre_file), "--split", "test", "--out", "{out}", *argv]
+    argv = [arg.format(**names) for arg in argv]
+    before = {path: path.is_file() and path.read_bytes() for path in tmp_path.iterdir()}
+
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    # the last output given is the one refused
+    assert err == f"error: output {argv[-1]} would overwrite {earlier.format(**names)}\n"
+    # nothing is written, not even the first of the two outputs
+    assert {path: path.is_file() and path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize(
     "argv, special",
     [
         (["adapt-noanswer", "--in", "{pos}", "--out", "{special}"], "dir"),
