@@ -360,29 +360,21 @@ def _validate(args) -> str | int:
 @Operation("replay", "re-execute a provenance log and verify outputs",
            Flag("--log", role="in", required=True, metavar="FILE", help="a .prov.json sidecar"))
 def _replay(args) -> int:
-    """Check and run each step in turn and print its lines; a failed check or run raises in its turn.
+    """Check and run each step in turn and print its lines as it ends.
 
-    The steps only read recorded files, so they run through
-    :func:`~slotqa.parallel.fork_map`, which gives their lines in step order,
-    as a serial replay prints them, and a step's exception after the lines of
-    every step before it.
+    A failed check or run raises in its step's turn, so no later step runs.
     """
-    import contextlib
     import tempfile
-
-    from .parallel import fork_map
 
     log = parse_sidecar(args.log).provenance_log
     if not log:
         raise ParseError(f"{args.log}: expected a sidecar object with a provenance_log")
     mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
-        steps = fork_map(lambda step: _replay_step(args.log, *step, Path(tmp)), enumerate(log))
-        with contextlib.closing(steps):
-            for lines in steps:
-                for line in lines:
-                    print(line)
-                    mismatches += line.startswith("MISMATCH")
+        for i, entry in enumerate(log):
+            for line in _replay_step(args.log, i, entry, Path(tmp)):
+                print(line)
+                mismatches += line.startswith("MISMATCH")
     if mismatches:
         print(f"{mismatches} outputs differ", file=sys.stderr)
         return 1
@@ -394,8 +386,7 @@ def _replay_step(log_path, i, entry, tmp) -> list[str]:
 
     Checks the recorded keys, their types and choices, then the inputs, then
     the recorded outputs; the first that fails raises :class:`ParseError`.
-    Then runs the step, writing its outputs under ``tmp``, where an earlier
-    try may have left them.
+    Then runs the step, writing its outputs under ``tmp``.
     """
     import filecmp
 
@@ -421,7 +412,7 @@ def _replay_step(log_path, i, entry, tmp) -> list[str]:
             raise ParseError(f"{where}: '{prefix}{flag.key}' must be one of {list(choices)}")
         if flag.role == "out" and value:  # written again in a directory of its own: names may repeat
             candidate = tmp / f"step{i:03d}" / flag.dest / Path(value).name
-            candidate.parent.mkdir(parents=True, exist_ok=True)
+            candidate.parent.mkdir(parents=True)
             outputs.append((Path(value), candidate))
             values[flag.dest] = str(candidate)
     for flag in op.recorded:

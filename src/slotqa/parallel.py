@@ -1,8 +1,8 @@
 """One way to spread independent work over this process and forked children.
 
 :func:`fork_map` forks one child per further available CPU per call, each
-computing every n-th item; it inherits every object the function needs,
-without pickling, and sends back only its pickled results through a pipe.
+computing one item; it inherits every object the function needs, without
+pickling, and sends back only its pickled result through a pipe.
 :func:`shares` is the one rule for how many pieces to cut work into.
 """
 
@@ -52,29 +52,22 @@ def fork_map(function: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
     """Yield ``function(item)`` for each item, in item order.
 
     With ``n = min(available_cpus(), len(items))``, this process forks ``n - 1``
-    children at the start, child ``k`` computing ``items[k::n]``, and then
-    computes ``items[::n]`` itself; each stops at its first exception. A child
-    is read when its first item's turn comes, and an item it sent no result
-    for is computed here in its turn, so the first exception comes after every
-    earlier result. None is forked off Linux, while another thread is alive,
-    or in a child of ``fork_map``; the items computed here may fork. An
-    exception or an early close kills and reaps every child not yet reaped.
+    children at the start, child ``k`` computing ``items[k]``. This process
+    computes item 0, every item from ``n`` on, and any item whose child sent
+    no result, each in its turn, so an exception comes after every earlier
+    result. None is forked off Linux, while another thread is alive, or in a
+    child of ``fork_map``; the items computed here may fork. An exception or
+    an early close kills and reaps every child not yet reaped.
     """
     items = list(items)
     n = max(1, min(available_cpus() if _may_fork() else 1, len(items)))
     children: dict[int, tuple[int, BinaryIO]] = {}  # k -> (pid, pipe), until the child is reaped
     try:
         for k in range(1, n):
-            _start(children, k, function, items[k::n])
-        own, error = _prefix(function, items[::n])
-        pending = {0: own[::-1]}  # k -> results not yet yielded, the next one last
-        for index, item in enumerate(items):
-            k = index % n
-            if k not in pending:
-                pending[k] = (_finish(children, k) if k in children else [])[::-1]
-            if k == 0 and not pending[0]:
-                raise error
-            yield pending[k].pop() if pending[k] else function(item)
+            _start(children, k, function, items[k])
+        for k, item in enumerate(items):
+            sent = _finish(children, k) if k in children else []
+            yield sent[0] if sent else function(item)
     finally:
         for pid, pipe in children.values():
             pipe.close()
@@ -82,19 +75,11 @@ def fork_map(function: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
             os.waitpid(pid, 0)
 
 
-def _prefix(function, items) -> tuple[list, Exception | None]:
-    """``function(item)`` for the items up to the first that raises, and that exception (None if none)."""
-    results = []
-    try:
-        for item in items:
-            results.append(function(item))
-    except Exception as error:
-        return results, error
-    return results, None
+def _start(children: dict[int, tuple[int, BinaryIO]], k: int, function, item) -> None:
+    """Fork child ``k``, which sends ``[function(item)]`` pickled, or nothing if that raises.
 
-
-def _start(children: dict[int, tuple[int, BinaryIO]], k: int, function, items) -> None:
-    """Fork child ``k``, which sends the pickled results :func:`_prefix` gives; in ``children`` once forked."""
+    The child is in ``children`` once forked.
+    """
     global _in_child
     # a child leaves through os._exit and flushes nothing, so nothing buffered is written twice
     for stream in (sys.stdout, sys.stderr):
@@ -118,7 +103,7 @@ def _start(children: dict[int, tuple[int, BinaryIO]], k: int, function, items) -
     try:
         _in_child = True
         os.close(read_end)
-        data = memoryview(pickle.dumps(_prefix(function, items)[0], pickle.HIGHEST_PROTOCOL))
+        data = memoryview(pickle.dumps([function(item)], pickle.HIGHEST_PROTOCOL))
         while data:
             data = data[os.write(write_end, data) :]
         status = 0
@@ -127,7 +112,7 @@ def _start(children: dict[int, tuple[int, BinaryIO]], k: int, function, items) -
 
 
 def _finish(children: dict[int, tuple[int, BinaryIO]], k: int) -> list:
-    """The results child ``k`` sent, [] if none; the child leaves ``children`` once it is reaped."""
+    """The ``[result]`` child ``k`` sent, [] if none; the child leaves ``children`` once it is reaped."""
     pid, pipe = children[k]
     with pipe:
         data = pipe.read()

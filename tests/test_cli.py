@@ -658,23 +658,43 @@ def _squad_chain_log(kind):
     return "log.prov.json"
 
 
+def test_replay_prints_each_step_s_lines_before_the_next_step_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    log = _squad_chain_log("matching")
+    events, replay_step = [], cli._replay_step
+
+    def step(log_path, i, entry, tmp):
+        events.append(f"run step {i}")
+        return replay_step(log_path, i, entry, tmp)
+
+    monkeypatch.setattr(cli, "_replay_step", step)
+    monkeypatch.setattr(cli, "print", lambda *values, **_: events.append(" ".join(map(str, values))), raising=False)
+    assert main(["replay", "--log", log]) == 0
+    assert events == [
+        "run step 0", "ok: step 0 (ingest-squad) reproduces pos.jsonl",
+        "run step 1", "ok: step 1 (negativize) reproduces neg.jsonl",
+        "run step 2", "ok: step 2 (adapt-noanswer) reproduces adapted.jsonl",
+    ]
+
+
 @pytest.mark.parametrize(
     "kind", ["matching", "mismatch", "skip", "check fails at step 2", "step 1 fails when it runs"]
 )
-def test_replay_in_forked_steps_prints_what_a_serial_replay_prints(tmp_path, capsys, monkeypatch, kind):
+def test_replay_forks_no_step_and_runs_none_after_a_failed_one(tmp_path, capsys, monkeypatch, kind):
     monkeypatch.chdir(tmp_path)
     log = _squad_chain_log(kind)
-    forks = record_forks(monkeypatch)
+    forks, ran = record_forks(monkeypatch), []
+    for name in ("ingest-squad", "negativize", "adapt-noanswer"):
+        op = cli.OPERATIONS[name]
+        monkeypatch.setattr(op, "run", lambda args, run=op.run: ran.append(args.op.name) or run(args))
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-    forked = _replay(log, capsys)
-    with monkeypatch.context() as m:
-        m.setattr(parallel, "_may_fork", lambda: False)
-        assert _replay(log, capsys) == forked
-    # one child for the odd steps beside this process, which checks and runs the even ones
-    assert len(forks) == (1 if sys.platform == "linux" else 0)
+    code, out, err = _replay(log, capsys)
+    assert forks == []
+    # a failed check or run stops the replay in its step's turn
+    stopped = kind in ("check fails at step 2", "step 1 fails when it runs")
+    assert ran == ["ingest-squad", "negativize", "adapt-noanswer"][: 2 if stopped else 3]
     ok = [f"ok: step {i} ({name}) reproduces {out}" for i, name, out in
           [(0, "ingest-squad", "pos.jsonl"), (1, "negativize", "neg.jsonl"), (2, "adapt-noanswer", "adapted.jsonl")]]
-    code, out, err = forked
     if kind == "matching":
         assert (code, out.splitlines(), err) == (0, ok, "")
     elif kind == "mismatch":

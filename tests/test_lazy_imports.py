@@ -63,7 +63,15 @@ def test_help_loads_only_cli_and_model():
     assert _loaded(code) == {"cli", "model"}
 
 
-def test_neither_the_cli_nor_help_loads_the_fork_helper_or_pickle():
+def test_neither_the_cli_nor_help_loads_the_fork_helper_or_pickle(tmp_path, monkeypatch):
+    """Nor does a replay of a chain whose steps do not fork: replay runs each step in this process."""
+    monkeypatch.chdir(tmp_path)
+    Path("q.json").write_text(json.dumps({"data": [{"title": "t", "paragraphs": [
+        {"context": "Obama was born in Hawaii. He moved.", "qas": [
+            {"id": "q0", "question": "Where was Obama born?",
+             "answers": [{"text": "Hawaii", "answer_start": 18}]}]}]}]}), encoding="utf-8")
+    assert cli.main(["ingest-squad", "--in", "q.json", "--split", "train", "--out", "pos.jsonl"]) == 0
+    assert cli.main(["negativize", "--in", "pos.jsonl", "--out", "neg.jsonl"]) == 0
     code = (
         "import contextlib, io, sys\n"
         "import slotqa.cli\n"
@@ -74,6 +82,9 @@ def test_neither_the_cli_nor_help_loads_the_fork_helper_or_pickle():
         "    except SystemExit:\n"
         "        pass\n"
         "seen['--help'] = sorted({'slotqa.parallel', 'pickle'} & set(sys.modules))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert slotqa.cli.main(['replay', '--log', 'neg.jsonl.prov.json']) == 0\n"
+        "seen['replay'] = sorted({'slotqa.parallel', 'pickle'} & set(sys.modules))\n"
         "print([(step, m) for step, ms in seen.items() for m in ms])"
     )
     assert _run(code) == set()
@@ -91,7 +102,7 @@ def test_no_module_imports_a_process_pool():
 
 
 def test_the_forking_steps_load_no_process_pool(tmp_path):
-    """predict-baseline, replay and mix, run in one interpreter with every file split for fork_map."""
+    """predict-baseline and mix, with every file split for fork_map, and a replay, run in one interpreter."""
     def squad(prefix):
         path = tmp_path / f"{prefix}.json"
         path.write_text(json.dumps({"data": [{"title": "t", "paragraphs": [

@@ -387,8 +387,11 @@ def _names_available_cpus(node):
     # how many processes a piece of work takes is decided in slotqa.parallel alone
     (_is_fork_call, [("parallel.py", "_start")]),
     (_names_available_cpus, [("parallel.py", "fork_map"), ("parallel.py", "shares")]),
+    # only the two steps that cut their work into shares fork: replay runs each step here
+    (lambda node: isinstance(node, ast.ImportFrom) and node.module == "parallel",
+     [("baseline.py", "predict_dataset"), ("mixer.py", "_scan")]),
 ], ids=["output_count_assigned", "output_count_passed", "placeholder_counted", "tsv_line_split",
-        "fork_called", "available_cpus_named"])
+        "fork_called", "available_cpus_named", "parallel_imported"])
 def test_each_rule_is_stated_in_one_place(match, owners):
     """Every node of ``src/slotqa`` that ``match`` accepts lies in a top-level definition of ``owners``."""
     found = set()

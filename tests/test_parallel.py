@@ -1,7 +1,7 @@
 """The contract of ``parallel.fork_map``: serial results, wherever the items run.
 
-Over ``n`` processes, every n-th item from the first runs in this process and
-each other stripe in a child of its own, so a test that counts forks sets
+Over ``n`` processes, items 1 to ``n - 1`` run in a child each and every other
+item in this process, in its turn, so a test that counts forks sets
 ``available_cpus`` itself: under ``taskset -c 0`` nothing forks.
 """
 
@@ -49,9 +49,9 @@ def test_results_come_back_in_item_order_from_children(monkeypatch, forks):
     got = list(fork_map(where, range(7)))
     assert [square for square, _ in got] == [i * i for i in range(7)]
     if LINUX:
-        # items 0, 3 and 6 run here, 1 and 4 in the first child, 2 and 5 in the second
+        # item 1 runs in the first child, item 2 in the second, and the rest here
         here, first, second = os.getpid(), *forks
-        assert [pid for _, pid in got] == [here, first, second, here, first, second, here]
+        assert [pid for _, pid in got] == [here, first, second, here, here, here, here]
         assert len(forks) == 2 and os.getpid() not in forks
     else:
         assert {pid for _, pid in got} == {os.getpid()} and forks == []
@@ -66,9 +66,9 @@ def test_one_available_cpu_never_forks(monkeypatch, forks, count):
 
 @pytest.mark.skipif(not LINUX, reason="children are forked only on Linux")
 @pytest.mark.parametrize("count, computed_here", [
-    pytest.param(2, list(range(10)), id="2"),  # the one child dies at item 1: its stripe runs here
-    pytest.param(3, [0, 1, 3, 4, 6, 7, 9], id="3"),  # the first child dies at item 1, the second lives
-    pytest.param(4, [0, 1, 3, 4, 5, 7, 8, 9], id="4"),  # the first dies at item 1, the third at 7 after 3
+    pytest.param(2, list(range(10)), id="2"),  # the one child dies at item 1: every item runs here
+    pytest.param(3, [0, 1, 3, 4, 5, 6, 7, 8, 9], id="3"),  # the first child dies at item 1, the second lives
+    pytest.param(4, [0, 1, 3, 4, 5, 6, 7, 8, 9], id="4"),  # the first and third die, at items 1 and 3
 ])
 def test_while_this_process_computes_at_most_one_child_per_further_cpu_is_alive(
     monkeypatch, forks, count, computed_here
@@ -78,7 +78,7 @@ def test_while_this_process_computes_at_most_one_child_per_further_cpu_is_alive(
 
     def item_here_or_die(item):
         if os.getpid() != parent:
-            if item % 3 == 1:  # its stripe is computed here, with other children running
+            if item % 2:  # its item is computed here, with other children running
                 os.kill(os.getpid(), signal.SIGKILL)
             time.sleep(0.02)
         else:
@@ -169,18 +169,18 @@ def test_the_first_failing_item_raises_after_the_earlier_results(forks):
         for result in results:
             got.append(result)
     assert [square for square, _ in got] == [0, 1, 4]
-    # the failed item ran again here, and every child is reaped
+    # every child is reaped
     for pid in forks:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
 
 
-def _computed_here_when_a_child_fails_at_item_4(monkeypatch, fail):
-    """Of six items on three CPUs, those computed here when the first child calls ``fail`` at item 4."""
+def _computed_here_when_the_first_child_fails(monkeypatch, fail):
+    """Of six items on three CPUs, those computed here when the first child calls ``fail`` at its item 1."""
     parent = os.getpid()
 
     def fail_in_a_child(item):
-        if item == 4 and os.getpid() != parent:
+        if item == 1 and os.getpid() != parent:
             fail()
         return where(item)
 
@@ -191,9 +191,9 @@ def _computed_here_when_a_child_fails_at_item_4(monkeypatch, fail):
 
 
 def test_an_item_whose_child_dies_is_computed_here(monkeypatch, forks):
-    here = _computed_here_when_a_child_fails_at_item_4(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
-    # the first child sends nothing, so its items 1 and 4 are computed here
-    assert here == ([0, 1, 3, 4] if LINUX else list(range(6)))
+    here = _computed_here_when_the_first_child_fails(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    # the first child sends nothing, so its item 1 is computed here, after item 0 and before item 2
+    assert here == ([0, 1, 3, 4, 5] if LINUX else list(range(6)))
     assert len(forks) == (2 if LINUX else 0)
 
 
@@ -201,9 +201,9 @@ def test_a_child_sends_its_results_up_to_its_first_exception(monkeypatch, forks)
     def fail():
         raise ValueError("only in a child")
 
-    here = _computed_here_when_a_child_fails_at_item_4(monkeypatch, fail)
-    # the first child sends item 1's result, and item 4 is computed here
-    assert here == ([0, 3, 4] if LINUX else list(range(6)))
+    here = _computed_here_when_the_first_child_fails(monkeypatch, fail)
+    # a child's results end before its first exception: with one item, it sends none, and item 1 is computed here
+    assert here == ([0, 1, 3, 4, 5] if LINUX else list(range(6)))
     assert len(forks) == (2 if LINUX else 0)
 
 
