@@ -113,9 +113,6 @@ class BaselineConfig(NamedTuple):
         if self.idf_source not in IDF_SOURCES:
             raise DataError(f"unknown idf_source {self.idf_source!r}")
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 class IdfTable(NamedTuple):
     """Document frequencies over a corpus; a table of no documents scores every word 1.0."""

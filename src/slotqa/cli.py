@@ -34,7 +34,6 @@ from pathlib import Path
 from .model import (
     DEFAULT_NO_ANSWER_TOKEN,
     IDF_SOURCES,
-    JSON_KINDS,
     MATCH_MODES,
     SPLITS,
     DataError,
@@ -54,14 +53,6 @@ from .model import (
     write_json,
     write_predictions,
 )
-
-# the kinds of a recorded value or a file flag: the JSON kinds and the two of a file name
-_KINDS = {
-    **JSON_KINDS,
-    "a path": lambda value: isinstance(value, str) and value != "" and "\0" not in value,
-    "a path or null": lambda value: value in (None, "") or _KINDS["a path"](value),  # "": unset
-}
-
 
 class Flag:
     """One option of an operation; with ``name`` None, a value recorded without one.
@@ -305,7 +296,7 @@ def _mix(args) -> str:
 
 @Operation("predict-baseline", "run the lexical overlap baseline",
            _IN, _OUT,
-           # recorded after the paths with the defaults filled in, in BaselineConfig.to_dict order
+           # recorded after the paths with the defaults filled in, in BaselineConfig field order
            Flag("--threshold", "no_answer_threshold", type=float),
            Flag("--max-span-tokens", "max_span_tokens", type=int),
            Flag("--idf", "idf_source", choices=IDF_SOURCES))
@@ -315,7 +306,7 @@ def _predict_baseline(args) -> str:
     # the flags that were given; BaselineConfig supplies the defaults of the rest
     config = BaselineConfig(**{key: value for key, value in _options(args).items() if value is not None})
     predictions = predict_dataset(_load(args.in_path), config)
-    write_predictions(predictions, args.out, _plain_sidecar(args, **config.to_dict()))
+    write_predictions(predictions, args.out, _plain_sidecar(args, **config._asdict()))
     answered = sum(1 for p in predictions if p.answer is not None)
     return (
         f"wrote {len(predictions)} predictions to {args.out}"
@@ -405,8 +396,7 @@ def _replay_step(log_path, i, entry, tmp) -> list[str]:
         # a key that may be null may also be missing, as from logs written before it existed
         if flag.key not in record and not flag.kind.endswith(" or null"):
             raise ParseError(f"{where}: missing required key '{prefix}{flag.key}'")
-        value = values[flag.dest] = expect(record.get(flag.key), flag.kind,
-                                           f"{where}: '{prefix}{flag.key}'", _KINDS)
+        value = values[flag.dest] = expect(record.get(flag.key), flag.kind, f"{where}: '{prefix}{flag.key}'")
         choices = flag.options.get("choices")
         if choices and value not in choices:
             raise ParseError(f"{where}: '{prefix}{flag.key}' must be one of {list(choices)}")
@@ -451,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
             named = [flag for flag in args.op.flags if flag.name]
             for flag in named:  # "" is no file: a write to it would land beside the working directory
                 if flag.role and getattr(args, flag.dest) is not None:
-                    expect(getattr(args, flag.dest), "a path", flag.name, _KINDS)
+                    expect(getattr(args, flag.dest), "a path", flag.name)
             outputs = [getattr(args, f.dest) for f in named if f.role == "out"]
             refuse_overwrite(outputs, [getattr(args, f.dest) for f in named if f.role == "in"])
             result = args.op.run(args)

@@ -27,6 +27,7 @@ from .model import (
     SPLITS,
     TransformReport,
     expect,
+    span_problem,
     tsv_rows,
 )
 from .templates import instantiate, placeholder_problem
@@ -77,10 +78,10 @@ def ingest_squad(document: Any, split: str) -> tuple[Dataset, TransformReport]:
                     if (start, text) in seen:
                         continue
                     seen.add((start, text))
-                    if not text or start < 0 or context[start : start + len(text)] != text:
+                    if span_problem(context, span := Span(start, text)):
                         bad = f"{qa_id}: answer {text!r} does not match context at offset {start}"
                         break
-                    spans.append(Span(start, text))
+                    spans.append(span)
                 if bad is not None:
                     report.skipped += 1
                     report.note(bad)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 import string
 from collections import Counter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import MATCH_MODES, Dataset, DataError, Prediction, no_answer_sentinel
 
@@ -30,25 +30,20 @@ def normalize_answer(s: str) -> str:
 _COUNT_KEYS = ("positives", "negatives", "answered", "correct", "no_answer_predictions", "missing")
 
 
-class EvalReport:
+class EvalReport(NamedTuple):
     """Metric values plus the raw tallies they came from.
 
     Slot-filling scoring fills precision/recall/f1 and leaves accuracy
     None; challenge scoring fills accuracy only. ``to_dict`` drops the
-    unused fields. Reports with the same values are equal.
+    unused fields.
     """
 
-    def __init__(self, precision: float | None = None, recall: float | None = None,
-                 f1: float | None = None, accuracy: float | None = None,
-                 counts: dict | None = None, per_relation: dict | None = None) -> None:
-        self.precision, self.recall, self.f1, self.accuracy = precision, recall, f1, accuracy
-        self.counts = {} if counts is None else counts
-        self.per_relation = per_relation
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not EvalReport:
-            return NotImplemented
-        return vars(self) == vars(other)
+    counts: dict
+    precision: float | None = None
+    recall: float | None = None
+    f1: float | None = None
+    accuracy: float | None = None
+    per_relation: dict | None = None
 
     def to_dict(self) -> dict:
         out: dict = {}
@@ -208,7 +203,7 @@ def score_slot_filling(
     overall, per_relation = _tally(dataset, _prediction_map(dataset, predictions), match)
     report = overall.report(match)
     if per_relation:
-        report.per_relation = {rel: tally.report(match) for rel, tally in per_relation.items()}
+        report = report._replace(per_relation={rel: tally.report(match) for rel, tally in per_relation.items()})
     return report
 
 

@@ -46,7 +46,8 @@ class DataError(ValueError):
     """Semantic failure in well-formed data (broken invariant, bad precondition)."""
 
 
-# what each reader requires of a JSON value, by the name its message gives; true and false are not numbers
+# what each reader requires of a JSON value or a file name, by the name its message gives;
+# true and false are not numbers
 JSON_KINDS = {
     "a string": lambda value: isinstance(value, str),
     "a string or null": lambda value: value is None or isinstance(value, str),
@@ -55,12 +56,14 @@ JSON_KINDS = {
     "a number": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
     "an array": lambda value: isinstance(value, list),
     "an object": lambda value: isinstance(value, dict),
+    "a path": lambda value: isinstance(value, str) and value != "" and "\0" not in value,
+    "a path or null": lambda value: value in (None, "") or JSON_KINDS["a path"](value),  # "": unset
 }
 
 
-def expect(value: Any, kind: str, what: str, kinds: dict = JSON_KINDS) -> Any:
-    """``value`` if it is of ``kind``, a name in ``kinds``; else a ParseError that ``what`` starts."""
-    if not kinds[kind](value):
+def expect(value: Any, kind: str, what: str) -> Any:
+    """``value`` if it is of ``kind``, a name in ``JSON_KINDS``; else a ParseError that ``what`` starts."""
+    if not JSON_KINDS[kind](value):
         raise ParseError(f"{what} must be {kind}")
     return value
 
@@ -103,11 +106,6 @@ class Instance(NamedTuple):
     origin: str = "synthetic"
     split: str = "train"
 
-    def is_negative(self) -> bool:
-        """Whether ``answers`` is empty; False for a negative on a dataset adapted with a
-        no-answer token, since such a negative holds the sentinel span over the token."""
-        return not self.answers
-
 
 _INSTANCE_FIELD_SET = frozenset(Instance._fields)
 
@@ -133,15 +131,16 @@ class Dataset:
     Dataset copies the old entries and adds one of its own. Each entry is
     ``{"operation": str, "parameters": dict, "seed": int | None}``.
     ``no_answer_token`` is set once a dummy-token adaptation has been applied
-    so scoring can map the token back to a no-answer. Fields cannot be
-    assigned: :meth:`_replace` makes a copy with some of them changed.
+    so scoring can map the token back to a no-answer. ``instances`` and
+    ``provenance_log`` are stored as tuples. Fields cannot be assigned:
+    :meth:`_replace` makes a copy with some of them changed.
     """
 
     __slots__ = ("instances", "name", "provenance_log", "no_answer_token")
 
-    def __init__(self, instances: tuple[Instance, ...] = (), name: str = "",
-                 provenance_log: tuple[dict, ...] = (), no_answer_token: str | None = None) -> None:
-        for key, value in zip(Dataset.__slots__, (instances, name, provenance_log, no_answer_token)):
+    def __init__(self, instances: Iterable[Instance] = (), name: str = "",
+                 provenance_log: Iterable[dict] = (), no_answer_token: str | None = None) -> None:
+        for key, value in zip(Dataset.__slots__, (tuple(instances), name, tuple(provenance_log), no_answer_token)):
             object.__setattr__(self, key, value)
 
     def __setattr__(self, key: str, value: Any = None) -> None:
@@ -177,7 +176,7 @@ class Dataset:
     ) -> "Dataset":
         """A new Dataset with ``instances``, inheriting and extending provenance."""
         entry = {"operation": operation, "parameters": dict(parameters), "seed": seed}
-        return self._replace(instances=tuple(instances),
+        return self._replace(instances=instances,
                              provenance_log=self.provenance_log + (entry,), **overrides)
 
 
@@ -236,6 +235,20 @@ class TransformReport:
         return out
 
 
+def span_problem(context: str, span: Span) -> tuple[str, str] | None:
+    """The first invariant ``span`` breaks as a gold answer in ``context``, as
+    ``(invariant, message)``; None if it reads its text at its offset."""
+    start, text = span
+    if not text:
+        return "span_text_nonempty", "answer span has empty text"
+    if start < 0:
+        return "span_start_nonnegative", f"answer span start {start} is negative"
+    found = context[start : start + len(text)]
+    if found != text:
+        return "span_matches_context", f"span at offset {start} reads {found!r}, not {text!r}"
+    return None
+
+
 def validate_dataset(dataset: Dataset) -> list[Violation]:
     """Check every dataset invariant, returning violations as data.
 
@@ -260,29 +273,8 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
                 Violation(inst.id, "split_enum", f"unknown split {inst.split!r}")
             )
         for span in inst.answers:
-            if not span.text:
-                violations.append(
-                    Violation(inst.id, "span_text_nonempty", "answer span has empty text")
-                )
-                continue
-            if span.start < 0:
-                violations.append(
-                    Violation(
-                        inst.id,
-                        "span_start_nonnegative",
-                        f"answer span start {span.start} is negative",
-                    )
-                )
-                continue
-            found = inst.context[span.start : span.start + len(span.text)]
-            if found != span.text:
-                violations.append(
-                    Violation(
-                        inst.id,
-                        "span_matches_context",
-                        f"span at offset {span.start} reads {found!r}, not {span.text!r}",
-                    )
-                )
+            if problem := span_problem(inst.context, span):
+                violations.append(Violation(inst.id, *problem))
         if inst.origin in NEGATIVE_ORIGINS and inst.answers and inst.answers != sentinel:
             violations.append(
                 Violation(
@@ -557,7 +549,7 @@ def parse_sidecar(side: str | Path, name: str = "") -> Dataset:
         check_no_answer_token(token, side)
     if not isinstance(log, list) or not all(isinstance(entry, dict) for entry in log):
         raise ParseError(f"{side}: provenance_log must be a list of objects")
-    return Dataset(name=name, provenance_log=tuple(log), no_answer_token=token)
+    return Dataset(name=name, provenance_log=log, no_answer_token=token)
 
 
 def read_sidecar(path: str | Path) -> Dataset:

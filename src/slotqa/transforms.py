@@ -106,8 +106,12 @@ def negativize_squad(
     answers list, and origin ``squad_negative``. A source whose sentences
     are all removed yields no negative; it is skipped and counted. With
     ``keep_positives`` the source instances are emitted too, each directly
-    before its negative.
+    before its negative. A dataset adapted with a no-answer token is refused:
+    its negatives would lack the token.
     """
+    if dataset.no_answer_token is not None:
+        raise DataError(f"negativize requires a dataset without a no-answer adaptation;"
+                        f" it is adapted with token {dataset.no_answer_token!r}")
     out: list[Instance] = []
     report = TransformReport(operation="negativize", input_count=len(dataset),
                              parameters={"keep_positives": keep_positives})

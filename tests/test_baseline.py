@@ -84,7 +84,7 @@ def test_config_validation():
 
 def test_config_dict_keeps_the_field_order():
     # predict-baseline records this dict in its sidecar, so the order is part of the bytes
-    assert list(BaselineConfig().to_dict().items()) == [
+    assert list(BaselineConfig()._asdict().items()) == [
         ("max_span_tokens", 8), ("no_answer_threshold", 1.0), ("idf_source", "self_corpus"),
     ]
 

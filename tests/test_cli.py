@@ -901,6 +901,21 @@ def _slotqa(*argv):
     )
 
 
+def test_negativize_refuses_an_adapted_dataset_before_writing(tmp_path):
+    # its negatives would hold no sentinel span and no context would start with the token
+    squad = Path(__file__).parent / "fixtures" / "synthetic_squad.json"
+    pos, neg, adapted, out = (tmp_path / f"{name}.jsonl" for name in ("pos", "neg", "adapted", "neg2"))
+    for argv in (["ingest-squad", "--in", squad, "--split", "train", "--out", pos],
+                 ["negativize", "--in", pos, "--keep-positives", "--out", neg],
+                 ["adapt-noanswer", "--in", neg, "--out", adapted]):
+        assert _slotqa(*argv).returncode == 0
+    proc = _slotqa("negativize", "--in", adapted, "--out", out)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: negativize requires a dataset without a no-answer adaptation;"
+                           " it is adapted with token 'NoAnswerFound'\n")
+    assert not out.exists() and not sidecar_path(out).exists()
+
+
 def test_input_that_is_a_directory_is_a_usage_error(tmp_path):
     proc = _slotqa("validate", "--in", tmp_path)
     assert proc.returncode == 2

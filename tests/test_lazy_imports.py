@@ -258,7 +258,7 @@ def test_parser_defaults_are_the_library_defaults(tmp_path, capsys):
     ]:
         assert cli.main([*argv, *flags]) == 0
         recorded = read_sidecar(preds).provenance_log[0]["parameters"]
-        assert recorded == {"in": str(dataset), "out": str(preds), **config.to_dict()}
+        assert recorded == {"in": str(dataset), "out": str(preds), **config._asdict()}
     args = cli.build_parser().parse_args(["adapt-noanswer", "--in", "x", "--out", "y"])
     assert args.token == DEFAULT_NO_ANSWER_TOKEN
     from slotqa.transforms import DEFAULT_NO_ANSWER_TOKEN as reexported

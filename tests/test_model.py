@@ -11,6 +11,7 @@ from slotqa import (
     BaselineConfig,
     DataError,
     Dataset,
+    EvalReport,
     Instance,
     MixSpec,
     ParseError,
@@ -41,8 +42,8 @@ from helpers import make_dataset, make_instance
 def test_negative_means_empty_answers():
     pos = make_instance()
     neg = make_instance(id="i1", answers=())
-    assert not pos.is_negative()
-    assert neg.is_negative()
+    assert pos.answers
+    assert not neg.answers
 
 
 def test_validate_clean_dataset():
@@ -372,6 +373,23 @@ def _is_fork_call(node):
     return isinstance(node, ast.Call) and ast.unparse(node.func) == "os.fork"
 
 
+def _is_span_slice(node):
+    """``context[start : start + len(text)]``: the text a span reads in its context."""
+    return isinstance(node, ast.Subscript) and bool(
+        re.fullmatch(r"(.*\.)?context\[(.+):\2 \+ len\(.+\)\]", ast.unparse(node)))
+
+
+def _is_kinds_table(node):
+    return isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id.endswith("_KINDS")
+
+
+def _top_level_name(statement):
+    """The name a top-level statement defines or assigns, or None."""
+    if isinstance(statement, ast.Assign):
+        return getattr(statement.targets[0], "id", None)
+    return getattr(statement, "name", None)
+
+
 def _names_available_cpus(node):
     """A use, attribute or import of the name ``available_cpus``."""
     name = node.name if isinstance(node, ast.alias) else None
@@ -390,8 +408,12 @@ def _names_available_cpus(node):
     # only the two steps that cut their work into shares fork: replay runs each step here
     (lambda node: isinstance(node, ast.ImportFrom) and node.module == "parallel",
      [("baseline.py", "predict_dataset"), ("mixer.py", "_scan")]),
+    # a gold span is checked against its context by validate_dataset and ingest_squad alike
+    (_is_span_slice, [("model.py", "span_problem")]),
+    # every reader and replay check a value's type through the one kind table
+    (_is_kinds_table, [("model.py", "JSON_KINDS")]),
 ], ids=["output_count_assigned", "output_count_passed", "placeholder_counted", "tsv_line_split",
-        "fork_called", "available_cpus_named", "parallel_imported"])
+        "fork_called", "available_cpus_named", "parallel_imported", "span_sliced", "kinds_table_assigned"])
 def test_each_rule_is_stated_in_one_place(match, owners):
     """Every node of ``src/slotqa`` that ``match`` accepts lies in a top-level definition of ``owners``."""
     found = set()
@@ -400,7 +422,7 @@ def test_each_rule_is_stated_in_one_place(match, owners):
         for node in ast.walk(tree):
             if match(node):
                 top = [d for d in tree.body if d.lineno <= node.lineno <= d.end_lineno]
-                found.add((path.name, getattr(top[0], "name", None)))
+                found.add((path.name, _top_level_name(top[0])))
     assert sorted(found) == owners
 
 
@@ -474,6 +496,7 @@ def test_derive_appends_provenance():
     (BaselineConfig(), "no_answer_threshold"),
     (make_dataset(make_instance()), "instances"),
     (make_dataset(make_instance()), "no_answer_token"),
+    (EvalReport({}), "f1"),
 ])
 def test_fields_cannot_be_assigned(value, field):
     # transforms never mutate their input: every record and dataset is immutable
@@ -494,6 +517,16 @@ def test_dataset_replace_changes_only_the_named_fields():
     assert renamed != ds
     with pytest.raises(TypeError, match="bogus"):
         ds._replace(bogus=1)
+
+
+def test_a_dataset_holds_its_instances_and_provenance_as_tuples(tmp_path):
+    path = tmp_path / "d.jsonl"
+    write_dataset(make_dataset(make_instance(), name="d").derive([make_instance()], "negativize", {}), path)
+    loaded = load_dataset(path)
+    rebuilt = Dataset(instances=list(loaded.instances), name=loaded.name,
+                      provenance_log=list(loaded.provenance_log))
+    assert rebuilt == loaded
+    assert type(rebuilt.instances) is type(rebuilt.provenance_log) is tuple
 
 
 @st.composite
