@@ -49,8 +49,12 @@ def build_challenge_set(
     relation (first-seen surface forms, deduplicated case-insensitively).
     Positives without any eligible donor are skipped and counted. One RNG
     stream seeded with ``seed`` is consumed in input order; skipped
-    positives consume nothing.
+    positives consume nothing. A dataset adapted with a no-answer token is
+    refused: its challenge negatives would hold no sentinel span.
     """
+    if positives.no_answer_token is not None:
+        raise DataError(f"build-challenge requires a dataset without a no-answer adaptation;"
+                        f" it is adapted with token {positives.no_answer_token!r}")
     grouped = by_relation(templates)
     # relation -> (surface form, lowered) of each distinct entity, lowered once
     entities: dict[str, list[tuple[str, str]]] = {}
@@ -111,7 +115,12 @@ def build_uwre_plus(
     untouched. Kept instances stay in their original order; the inserted
     challenge instances follow at the end, in pool order. The removal
     sample is drawn before the insertion sample from a single RNG stream.
+    A split and a pool with different no-answer adaptations are refused.
     """
+    split_token, pool_token = split_dataset.no_answer_token, challenge_pool.no_answer_token
+    if split_token != pool_token:
+        raise DataError("cannot build uwre-plus from a split and a pool with different no-answer"
+                        f" adaptations: {split_token!r} vs {pool_token!r}")
     negative_positions = [
         i for i, inst in enumerate(split_dataset) if inst.origin == "uwre_negative"
     ]

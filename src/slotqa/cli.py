@@ -372,6 +372,20 @@ def _replay(args) -> int:
     return 0
 
 
+def _same_bytes(recorded: Path, candidate: Path) -> bool:
+    """Whether both paths are regular files of the same bytes, read in 1 MiB blocks to the first that differs."""
+    import stat
+
+    first, second = recorded.stat(), candidate.stat()
+    if not (stat.S_ISREG(first.st_mode) and stat.S_ISREG(second.st_mode)) or first.st_size != second.st_size:
+        return False
+    with open(recorded, "rb") as f, open(candidate, "rb") as g:
+        while block := f.read(1 << 20):
+            if block != g.read(1 << 20):
+                return False
+        return not g.read(1)
+
+
 def _replay_step(log_path, i, entry, tmp) -> list[str]:
     """The lines replay prints for step ``i`` of a log: its skip line, or one per output it reran.
 
@@ -379,8 +393,6 @@ def _replay_step(log_path, i, entry, tmp) -> list[str]:
     the recorded outputs; the first that fails raises :class:`ParseError`.
     Then runs the step, writing its outputs under ``tmp``.
     """
-    import filecmp
-
     name = entry.get("operation")
     op = OPERATIONS.get(name) if isinstance(name, str) else None
     if op is None or not op.recorded:
@@ -414,7 +426,7 @@ def _replay_step(log_path, i, entry, tmp) -> list[str]:
     op.run(argparse.Namespace(op=op, **values))
     # a mismatch: an output not written again, or anything but two regular files of the same bytes
     return [f"ok: step {i} ({name}) reproduces {recorded}"
-            if candidate.exists() and filecmp.cmp(recorded, candidate, shallow=False)
+            if candidate.exists() and _same_bytes(recorded, candidate)
             else f"MISMATCH: step {i} ({name}) does not reproduce {recorded}"
             for recorded, candidate in outputs]
 

@@ -81,17 +81,35 @@ class MixSpec(NamedTuple):
         return spec
 
 
-def _ranks(population: int, seed: int) -> array:
-    """Each index's position in the seeded permutation of ``range(population)``.
+def _ranks(population: int, seed: int, limit: int) -> array:
+    """Each index's position in the seeded permutation of ``range(population)``, clipped at ``limit``.
 
-    The sample of size n is exactly the indices ranked below n, so samples
-    nest across n. The table takes 4 bytes per index.
+    The sample of size n <= limit is exactly the indices ranked below n, so
+    samples nest across n. The permutation is ``random.Random(seed).shuffle``'s:
+    the loop runs its Fisher–Yates steps, drawing ``randbelow(i + 1)`` from
+    the same ``getrandbits`` calls in the same order, as CPython 3.10-3.13
+    write ``shuffle`` (the tests compare the two). Position i is final at
+    step i, so a step only moves the index that stays behind into the free
+    slot, and records the placed index's rank only when i < limit. Each of
+    the two tables takes 4 bytes per index.
     """
+    rank = array("I", [limit]) * population
     order = array("I", range(population))
-    random.Random(seed).shuffle(order)
-    rank = array("I", bytes(order.itemsize * population))
-    for position, index in enumerate(order):
-        rank[index] = position
+    getrandbits = random.Random(seed).getrandbits
+    i = population - 1
+    while i > 0:
+        # randbelow(i + 1) draws (i + 1).bit_length() bits, the same down to a power of two
+        bits = (i + 1).bit_length()
+        for i in range(i, (1 << bits - 1) - 2, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            if i < limit:
+                rank[order[j]] = i
+            order[j] = order[i]
+        i -= 1
+    if population and limit:
+        rank[order[0]] = 0
     return rank
 
 
@@ -277,9 +295,11 @@ def mix_files(
     interpreter, scan the rest, so a script needs no
     ``if __name__ == "__main__"`` guard. Memory stays bounded by the base
     ids and a rank table of 4 bytes per augment line, never by instance
-    objects. The rank table, and the shuffle that draws it, is built only
-    when some size is below the augment's line count, so replaying an
-    all-taking mix does no shuffle.
+    objects. The rank table is drawn by :func:`_ranks` in one pass of
+    ``random.Random(seed).shuffle``'s own steps, and holds ranks only below
+    the largest size under the augment's line count. It is drawn only when
+    some size is below that count, so replaying an all-taking mix draws
+    nothing.
     """
     spec.validate()
     base_path, augment_path = Path(base_path), Path(augment_path)
@@ -305,9 +325,10 @@ def mix_files(
             f"{len(colliding)} instance ids occur in both base and augment: {colliding[:10]}"
         )
 
-    # the output of size k takes exactly the augment lines ranked below k;
-    # sizes increase, so when the smallest takes every line no rank is read
-    rank = _ranks(population, spec.seed) if spec.sizes[0] < population else None
+    # the output of size k takes exactly the augment lines ranked below k; only
+    # sizes below the population read ranks, so none is drawn when no size does
+    sampled = [k for k in spec.sizes if k < population]
+    rank = _ranks(population, spec.seed, sampled[-1]) if sampled else None
 
     out_dir.mkdir(parents=True, exist_ok=True)
     results, outs = [], []

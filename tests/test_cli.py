@@ -1,4 +1,3 @@
-import filecmp
 import json
 import os
 import subprocess
@@ -549,11 +548,26 @@ def test_replay_catches_a_late_one_byte_difference(tmp_path, capsys):
     assert main(["replay", "--log", log]) == 0
     assert "ok: step 0 (mix)" in capsys.readouterr().out
 
-    data = bytearray(out.read_bytes())
-    data[-20] ^= 1
-    out.write_bytes(bytes(data))
-    assert main(["replay", "--log", log]) == 1
-    assert f"MISMATCH: step 0 (mix) does not reproduce {out}" in capsys.readouterr().out
+    data = out.read_bytes()
+    for position in (-20, -1):  # -1: the last byte, in the second 1 MiB compare block
+        tampered = bytearray(data)
+        tampered[position] ^= 1
+        out.write_bytes(bytes(tampered))
+        assert main(["replay", "--log", log]) == 1
+        assert f"MISMATCH: step 0 (mix) does not reproduce {out}" in capsys.readouterr().out
+
+
+def test_replay_compare_needs_two_regular_files_of_the_same_bytes(tmp_path):
+    recorded, candidate = tmp_path / "recorded", tmp_path / "candidate"
+    data = bytes(range(256)) * (5 << 12)  # 5 MiB, so the last byte is in the fifth block
+    recorded.write_bytes(data)
+    for same, tampered in ((True, data), (False, data[:-1] + b"x"), (False, data[:-1]), (False, data + b"x")):
+        candidate.write_bytes(tampered)
+        assert cli._same_bytes(recorded, candidate) is same
+    candidate.unlink()
+    candidate.mkdir()
+    assert cli._same_bytes(recorded, candidate) is False
+    assert cli._same_bytes(tmp_path, tmp_path) is False
 
 
 def test_replay_works_under_tmpdir_and_removes_what_it_made(tmp_path, squad_file, monkeypatch):
@@ -563,18 +577,16 @@ def test_replay_works_under_tmpdir_and_removes_what_it_made(tmp_path, squad_file
     root.mkdir()
     monkeypatch.setenv("TMPDIR", str(root))
     monkeypatch.setattr(tempfile, "tempdir", None)  # gettempdir reads TMPDIR again
-    compared, cmp = [], filecmp.cmp
+    compared, same = [], cli._same_bytes
 
-    def compare(recorded, candidate, shallow=True):
-        compared.append((candidate, shallow))
-        return cmp(recorded, candidate, shallow)
+    def compare(recorded, candidate):
+        compared.append(candidate)
+        return same(recorded, candidate)
 
-    monkeypatch.setattr(filecmp, "cmp", compare)
+    monkeypatch.setattr(cli, "_same_bytes", compare)
     assert main(["replay", "--log", str(sidecar_path(pos))]) == 0
     assert tempfile.gettempdir() == str(root)
-    assert [(c.relative_to(root).parts[1:], shallow) for c, shallow in compared] == [
-        (("step000", "out", "pos.jsonl"), False)
-    ]
+    assert [c.relative_to(root).parts[1:] for c in compared] == [("step000", "out", "pos.jsonl")]
     assert list(root.iterdir()) == []
 
 
@@ -836,7 +848,7 @@ def test_replay_output_the_step_does_not_write_again_is_a_mismatch(tmp_path, cap
 def test_replay_of_an_all_taking_mix_draws_no_permutation(tmp_path, capsys, monkeypatch):
     from slotqa import mixer
 
-    def forbidden(population, seed):
+    def forbidden(population, seed, limit):
         raise AssertionError("a mix whose sizes take every augment line drew a permutation")
 
     monkeypatch.setattr(mixer, "_ranks", forbidden)
@@ -914,6 +926,59 @@ def test_negativize_refuses_an_adapted_dataset_before_writing(tmp_path):
     assert proc.stderr == ("error: negativize requires a dataset without a no-answer adaptation;"
                            " it is adapted with token 'NoAnswerFound'\n")
     assert not out.exists() and not sidecar_path(out).exists()
+
+
+def _adapted_and_challenge(tmp_path):
+    """An adapted UWRE split of two positives and two negatives, and the challenge set of its unadapted form."""
+    tsv = tmp_path / "four.tsv"
+    tsv.write_text("".join(UWRE_TSV.splitlines(keepends=True)[i] for i in (0, 1, 3, 4)), encoding="utf-8")
+    data, templates, adapted, challenge = (tmp_path / name for name in
+                                           ("u.jsonl", "t.tsv", "adapted.jsonl", "challenge.jsonl"))
+    for argv in (["ingest-uwre", "--in", tsv, "--split", "train", "--out", data, "--templates-out", templates],
+                 ["adapt-noanswer", "--in", data, "--out", adapted],
+                 ["build-challenge", "--in", data, "--templates", templates, "--seed", 5, "--out", challenge]):
+        assert main(list(map(str, argv))) == 0
+    return templates, adapted, challenge
+
+
+def test_build_challenge_refuses_an_adapted_dataset_before_writing(tmp_path, capsys):
+    # its negatives would hold no sentinel span over the token
+    templates, adapted, _ = _adapted_and_challenge(tmp_path)
+    out = tmp_path / "chal2.jsonl"
+    capsys.readouterr()
+    argv = ["build-challenge", "--in", adapted, "--templates", templates, "--seed", 5, "--out", out]
+    assert main(list(map(str, argv))) == 1
+    assert capsys.readouterr() == ("", "error: build-challenge requires a dataset without a no-answer"
+                                       " adaptation; it is adapted with token 'NoAnswerFound'\n")
+    assert not out.exists() and not sidecar_path(out).exists()
+
+
+@pytest.mark.parametrize("adapted_side", ["split", "pool"])
+def test_build_uwre_plus_refuses_a_split_and_pool_adapted_differently(tmp_path, capsys, adapted_side):
+    # an unadapted challenge instance in an adapted split has no token before its context
+    _, adapted, challenge = _adapted_and_challenge(tmp_path)
+    if adapted_side == "pool":
+        split, pool = tmp_path / "u.jsonl", tmp_path / "adapted-challenge.jsonl"
+        assert main(["adapt-noanswer", "--in", str(challenge), "--out", str(pool)]) == 0
+        tokens = "None vs 'NoAnswerFound'"
+    else:
+        split, pool, tokens = adapted, challenge, "'NoAnswerFound' vs None"
+    out = tmp_path / "plus.jsonl"
+    capsys.readouterr()
+    assert main(["build-uwre-plus", "--in", str(split), "--pool", str(pool), "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: cannot build uwre-plus from a split and a pool with different"
+                                       f" no-answer adaptations: {tokens}\n")
+    assert not out.exists() and not sidecar_path(out).exists()
+
+
+def test_build_uwre_plus_keeps_the_adaptation_of_a_split_and_pool_adapted_alike(tmp_path):
+    _, adapted, challenge = _adapted_and_challenge(tmp_path)
+    pool, out = tmp_path / "adapted-challenge.jsonl", tmp_path / "plus.jsonl"
+    assert main(["adapt-noanswer", "--in", str(challenge), "--out", str(pool)]) == 0
+    assert main(["build-uwre-plus", "--in", str(adapted), "--pool", str(pool), "--seed", "1", "--out", str(out)]) == 0
+    assert [i.origin for i in load_dataset(out)][-1] == "challenge_negative"
+    assert main(["validate", "--in", str(out)]) == 0
+    assert main(["adapt-noanswer", "--in", str(out), "--out", str(tmp_path / "again.jsonl")]) == 1
 
 
 def test_input_that_is_a_directory_is_a_usage_error(tmp_path):

@@ -269,10 +269,43 @@ def test_mix_files_propagates_token_sidecar(tmp_path):
     assert loaded.no_answer_token == base.no_answer_token
 
 
+# --- the rank draw is random.shuffle's, clipped at the largest sampled size ---
+
+
+def _shuffle_ranks(population, seed, limit):
+    order = list(range(population))
+    random.Random(seed).shuffle(order)
+    rank = [0] * population
+    for position, index in enumerate(order):
+        rank[index] = min(position, limit)
+    return rank
+
+
+# every power of two from 2 to 4096, one below and one above: the draw's bit count changes there
+EDGES = sorted({p + d for p in (1 << b for b in range(1, 13)) for d in (-1, 0, 1)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    population=st.one_of(st.integers(0, 5000), st.sampled_from(EDGES)),
+    seed=st.integers(0, 2**64),
+    limit=st.integers(0, 5001),
+)
+def test_ranks_invert_random_shuffle_clipped_at_limit(population, seed, limit):
+    assert mixer._ranks(population, seed, limit).tolist() == _shuffle_ranks(population, seed, limit)
+
+
+def test_ranks_invert_random_shuffle_at_every_bit_count_change():
+    for population in EDGES:
+        for limit in (0, 1, population // 2, population - 1, population):
+            assert mixer._ranks(population, 3, limit).tolist() == _shuffle_ranks(population, 3, limit), \
+                (population, limit)
+
+
 # --- the permutation is drawn only when some size samples ---
 
 
-def _no_ranks(population, seed):
+def _no_ranks(population, seed, limit):
     raise AssertionError("a mix whose sizes take every augment line drew a permutation")
 
 
@@ -293,15 +326,16 @@ def test_mix_files_taking_every_line_draws_no_permutation(tmp_path, monkeypatch,
 def test_mix_files_draws_the_permutation_once_when_a_size_samples(tmp_path, monkeypatch):
     calls, ranks = [], mixer._ranks
 
-    def counted(population, seed):
-        calls.append((population, seed))
-        return ranks(population, seed)
+    def counted(population, seed, limit):
+        calls.append((population, seed, limit))
+        return ranks(population, seed, limit)
 
     monkeypatch.setattr(mixer, "_ranks", counted)
     base, augment = numbered(2, "b"), numbered(10, "a")
     sizes = (3, 10, 20)
     got = mixed(tmp_path, spec_for(sizes, seed=4), base, augment)
-    assert calls == [(10, 4)]
+    # only the size below the population reads ranks, so 3 is the limit
+    assert calls == [(10, 4, 3)]
     for (out, _), k in zip(got, sizes):
         assert out.instances == base.instances + tuple(augment.instances[i] for i in oracle_sample(10, k, 4))
 
