@@ -26,6 +26,7 @@ subcommand loads only what it needs, and keeps no reference to their functions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -128,15 +129,19 @@ def _plain_sidecar(args, **options) -> Dataset:
 
 
 def _load(path, no_answer_token=None) -> Dataset:
-    """The dataset at ``path``, with ``no_answer_token`` if given; a DataError if it is invalid."""
+    """The dataset at ``path``, with ``no_answer_token`` if given; a DataError if it is invalid.
+
+    The adaptation is checked against the token the sidecar records, so a token
+    given to an unadapted dataset asks for no prefix.
+    """
     dataset = load_dataset(path)
     if no_answer_token is not None:
-        dataset = dataset._replace(no_answer_token=check_no_answer_token(no_answer_token))
-    if violations := validate_dataset(dataset):
+        check_no_answer_token(no_answer_token)
+    if violations := validate_dataset(dataset, no_answer_token):
         v = violations[0]
         raise DataError(f"{path}: instance {v.instance_id!r} breaks {v.invariant}: {v.message}"
                         f" (violations: {len(violations)}; validate lists them all)")
-    return dataset
+    return dataset if no_answer_token is None else dataset._replace(no_answer_token=no_answer_token)
 
 
 def _naming(path, layer, *args):
@@ -449,6 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a character stdout cannot encode is written as an escape, as Python writes stderr
+        if getattr(sys.stdout, "errors", None) == "strict":
+            # on a stream opened seekable, reconfigure then asks its position; if a pipe has
+            # since been dup2'd over its descriptor, that raises after the new errors are set
+            with contextlib.suppress(OSError):
+                sys.stdout.reconfigure(errors="backslashreplace")
         try:
             named = [flag for flag in args.op.flags if flag.name]
             for flag in named:  # "" is no file: a write to it would land beside the working directory

@@ -35,7 +35,8 @@ DEFAULT_NO_ANSWER_TOKEN = "NoAnswerFound"
 # checked in this order, so a record with several bad fields names the same one
 _STRING_FIELDS = ("id", "question", "context", "origin", "split")
 _SPAN_FIELD_SET = frozenset({"start", "text"})
-_PREDICTION_FIELD_SET = frozenset({"id", "answer"})
+_PREDICTION_FIELDS = ("id", "answer")  # a prediction line's keys, in order
+_PREDICTION_FIELD_SET = frozenset(_PREDICTION_FIELDS)
 
 
 class ParseError(ValueError):
@@ -249,15 +250,23 @@ def span_problem(context: str, span: Span) -> tuple[str, str] | None:
     return None
 
 
-def validate_dataset(dataset: Dataset) -> list[Violation]:
+def validate_dataset(dataset: Dataset, scoring_token: str | None = None) -> list[Violation]:
     """Check every dataset invariant, returning violations as data.
 
     Never raises on malformed content: a violation names the instance and
     the invariant it breaks. An empty result means the dataset is valid.
+
+    A dataset adapted with a no-answer token starts every context with it and a
+    space, and gives every negative without other spans the sentinel span over it.
+    A negative's answers may be the sentinel of ``scoring_token``, a token scoring
+    maps to a no-answer in place of the dataset's own.
     """
     violations: list[Violation] = []
     seen_ids: set[str] = set()
-    sentinel = no_answer_sentinel(dataset.no_answer_token) if dataset.no_answer_token else None
+    token = dataset.no_answer_token
+    prefix = None if token is None else token + " "
+    scoring_token = token if scoring_token is None else scoring_token
+    sentinel = no_answer_sentinel(scoring_token) if scoring_token else None
     for inst in dataset.instances:
         if inst.id in seen_ids:
             violations.append(
@@ -291,6 +300,20 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
                     f"origin {inst.origin!r} requires at least one answer span",
                 )
             )
+        if prefix is None:
+            continue
+        if not inst.context.startswith(prefix):
+            violations.append(
+                Violation(inst.id, "no_answer_token_prefix", f"context does not start with {prefix!r}")
+            )
+        if inst.origin in NEGATIVE_ORIGINS and not inst.answers:
+            violations.append(
+                Violation(
+                    inst.id,
+                    "negative_no_answer_sentinel",
+                    f"origin {inst.origin!r} requires the no-answer span {token!r} at offset 0",
+                )
+            )
     return violations
 
 
@@ -310,12 +333,65 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+# the string escaper of json.dumps(..., ensure_ascii=False): non-ASCII is written raw
+_quote = json.encoder.encode_basestring
+
+
 def dumps_instance(inst: Instance) -> str:
+    """The canonical line of ``inst``, without its newline: ``json.dumps(instance_to_dict(inst),
+    ensure_ascii=False)``, that is the fields in ``Instance._fields`` order, ``", "`` and ``": "``
+    between items, non-ASCII written raw and ``null`` for an absent relation or subject.
+
+    An instance whose every field has its exact canonical type (each string a ``str``, each
+    answer a ``Span`` of an ``int`` and a ``str``) is written by hand with json's own
+    escaper; any other goes through ``json.dumps``, so the bytes are the same either way.
+    """
+    id_, question, context, answers, relation, subject, origin, split = inst
+    # a chain of `is`: all five are of one type, and that type is str
+    if (type(id_) is type(question) is type(context) is type(origin) is type(split) is str
+            and (relation is None or type(relation) is str)
+            and (subject is None or type(subject) is str)
+            and type(answers) is tuple):
+        spans = []
+        for span in answers:
+            if type(span) is not Span:
+                break
+            start, text = span
+            if type(start) is not int or type(text) is not str:
+                break
+            spans.append(f'{{"start": {start}, "text": {_quote(text)}}}')
+        else:
+            return (f'{{"id": {_quote(id_)}, "question": {_quote(question)}, "context": {_quote(context)},'
+                    f' "answers": [{", ".join(spans)}],'
+                    f' "relation": {"null" if relation is None else _quote(relation)},'
+                    f' "subject_entity": {"null" if subject is None else _quote(subject)},'
+                    f' "origin": {_quote(origin)}, "split": {_quote(split)}}}')
     return json.dumps(instance_to_dict(inst), ensure_ascii=False)
 
 
 def _parse_instance(obj: Any) -> Instance:
-    """An Instance from a decoded JSON value; a ParseError says what is wrong, not where."""
+    """An Instance from a decoded JSON value; a ParseError says what is wrong, not where.
+
+    A canonical line's value passes one chain of exact-type checks; any other
+    value goes through the checks below, which word the error.
+    """
+    if type(obj) is dict and tuple(obj) == Instance._fields:
+        id_, question, context, answers, relation, subject, origin, split = obj.values()
+        if (type(id_) is type(question) is type(context) is type(origin) is type(split) is str
+                and (relation is None or type(relation) is str)
+                and (subject is None or type(subject) is str)
+                and type(answers) is list):
+            spans = []
+            for span in answers:
+                if type(span) is not dict or tuple(span) != Span._fields:
+                    break
+                start, text = span.values()
+                if type(start) is not int or type(text) is not str:
+                    break
+                spans.append(Span(start, text))
+            else:
+                return Instance(id_, question, context, tuple(spans), relation and sys.intern(relation),
+                                subject, sys.intern(origin), sys.intern(split))
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object")
     if obj.keys() != _INSTANCE_FIELD_SET:
@@ -367,8 +443,7 @@ def instance_from_dict(obj: Any, where: str = "instance") -> Instance:
 def write_instances(instances: Iterable[Instance], path: str | Path, sidecar=None) -> None:
     with atomic_output(path, sidecar=sidecar) as f:
         for inst in instances:
-            f.write(dumps_instance(inst))
-            f.write("\n")
+            f.write(dumps_instance(inst) + "\n")
 
 
 # json.loads's own settings; its scanner decodes one value at an offset
@@ -568,13 +643,25 @@ def load_dataset(path: str | Path) -> Dataset:
 
 
 def write_predictions(predictions: Iterable[Prediction], path: str | Path, sidecar=None) -> None:
+    """One line per prediction: ``json.dumps({"id": ..., "answer": ...}, ensure_ascii=False)``.
+
+    As in :func:`dumps_instance`, a ``str`` id with a ``str`` or None answer is
+    written by hand with json's own escaper, and anything else by ``json.dumps``.
+    """
     with atomic_output(path, sidecar=sidecar) as f:
-        for pred in predictions:
-            f.write(json.dumps({"id": pred.instance_id, "answer": pred.answer}, ensure_ascii=False))
-            f.write("\n")
+        for instance_id, answer in predictions:
+            if type(instance_id) is str and (answer is None or type(answer) is str):
+                text = "null" if answer is None else _quote(answer)
+                f.write(f'{{"id": {_quote(instance_id)}, "answer": {text}}}\n')
+            else:
+                f.write(json.dumps({"id": instance_id, "answer": answer}, ensure_ascii=False) + "\n")
 
 
 def _parse_prediction(obj: Any) -> Prediction:
+    if type(obj) is dict and tuple(obj) == _PREDICTION_FIELDS:
+        instance_id, answer = obj.values()
+        if type(instance_id) is str and (answer is None or type(answer) is str):
+            return Prediction(instance_id, answer)
     if not isinstance(obj, dict) or obj.keys() != _PREDICTION_FIELD_SET:
         raise ParseError("expected an object with id and answer")
     return Prediction(expect(obj["id"], "a string", "field 'id'"),

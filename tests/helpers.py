@@ -7,12 +7,13 @@ than itself.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import re
 import string
 
-from slotqa import Dataset, Instance, Span
+from slotqa import Dataset, Instance, Prediction, Span
 from slotqa.baseline import STOP_WORDS
 from slotqa.transforms import ABBREVIATIONS, SentenceBoundary, segment_sentences
 
@@ -44,6 +45,27 @@ def make_instance(
 
 def make_dataset(*instances, **kwargs):
     return Dataset(instances=tuple(instances), **kwargs)
+
+
+def oracle_dumps_line(record):
+    """The canonical line of an Instance or a Prediction, without its newline:
+    ``json.dumps`` of a dict built one key at a time, in the README's order."""
+    line = {}
+    if isinstance(record, Prediction):
+        line["id"] = record.instance_id
+        line["answer"] = record.answer
+    else:
+        line["id"] = record.id
+        line["question"] = record.question
+        line["context"] = record.context
+        line["answers"] = []
+        for span in record.answers:
+            line["answers"].append({"start": span.start, "text": span.text})
+        line["relation"] = record.relation
+        line["subject_entity"] = record.subject_entity
+        line["origin"] = record.origin
+        line["split"] = record.split
+    return json.dumps(line, ensure_ascii=False)
 
 
 def oracle_normalize_answer(s):

@@ -1422,6 +1422,53 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "span_matches_context" in out
 
 
+def _bundled_squad_chain(tmp_path):
+    """The bundled SQuAD fixture ingested, negativized, adapted and predicted: the four files."""
+    pos, neg, adapted, preds = (tmp_path / f"{name}.jsonl" for name in ("pos", "neg", "adapted", "preds"))
+    squad = Path(__file__).parent / "fixtures" / "synthetic_squad.json"
+    for argv in (["ingest-squad", "--in", squad, "--split", "train", "--out", pos],
+                 ["negativize", "--in", pos, "--out", neg, "--keep-positives"],
+                 ["adapt-noanswer", "--in", neg, "--out", adapted],
+                 ["predict-baseline", "--in", adapted, "--out", preds]):
+        assert main([str(arg) for arg in argv]) == 0
+    return pos, neg, adapted, preds
+
+
+def test_validate_names_a_hand_edited_no_answer_adaptation(tmp_path, capsys):
+    """A file whose sidecar names a token must keep it in every context and every negative."""
+    pos, neg, adapted, preds = _bundled_squad_chain(tmp_path)
+    lines = [json.loads(line) for line in adapted.read_text(encoding="utf-8").splitlines()]
+    positive = next(line for line in lines if line["origin"] == "squad_positive")
+    negative = next(line for line in lines if line["origin"] == "squad_negative")
+    positive["context"] = positive["context"].removeprefix("NoAnswerFound ")  # spans shifted back: still read
+    positive["answers"] = [{"start": a["start"] - 14, "text": a["text"]} for a in positive["answers"]]
+    negative["answers"] = []
+    adapted.write_text("".join(json.dumps(line, ensure_ascii=False) + "\n" for line in lines), encoding="utf-8")
+    capsys.readouterr()
+
+    assert main(["validate", "--in", str(adapted)]) == 1
+    assert capsys.readouterr().out == (
+        f"{positive['id']}\tno_answer_token_prefix\tcontext does not start with 'NoAnswerFound '\n"
+        f"{negative['id']}\tnegative_no_answer_sentinel"
+        "\torigin 'squad_negative' requires the no-answer span 'NoAnswerFound' at offset 0\n")
+    for token in ([], ["--noanswer-token", "NoAnswerFound"], ["--noanswer-token", "X"]):
+        assert main(["score", "--dataset", str(adapted), "--preds", str(preds), *token]) == 1
+        assert f"instance {positive['id']!r} breaks no_answer_token_prefix" in capsys.readouterr().err
+    # the token is checked against the sidecar's: an unadapted dataset takes one to score with
+    assert main(["predict-baseline", "--in", str(pos), "--out", str(preds)]) == 0
+    for dataset in (pos, neg):
+        assert main(["score", "--dataset", str(dataset), "--preds", str(preds), "--noanswer-token", "X"]) == 0
+
+
+def test_score_still_refuses_a_token_that_is_not_the_adaptation_s(tmp_path, capsys):
+    _, _, adapted, preds = _bundled_squad_chain(tmp_path)
+    capsys.readouterr()
+    assert main(["score", "--dataset", str(adapted), "--preds", str(preds), "--noanswer-token", "NoAnswerFound"]) == 0
+    capsys.readouterr()
+    assert main(["score", "--dataset", str(adapted), "--preds", str(preds), "--noanswer-token", "X"]) == 1
+    assert "breaks negative_origin_empty_answers" in capsys.readouterr().err
+
+
 def test_sidecars_of_outputs_that_are_not_datasets_record_paths_then_options(
     tmp_path, uwre_file, monkeypatch
 ):

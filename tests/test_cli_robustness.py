@@ -196,6 +196,29 @@ def test_bad_input_to_the_console_prints_no_traceback(tmp_path, corpus, target, 
     assert proc.stderr.startswith(("error: ", "usage: "))
 
 
+@pytest.mark.parametrize("argv, shown", [
+    ("validate --in odd.jsonl", "q\u4e00\tpositive_origin_nonempty_answers"),
+    ("negativize --in pos.jsonl --out \u00fc\u4e00.jsonl", "instances to \u00fc\u4e00.jsonl"),
+], ids=["validate", "negativize"])
+def test_a_stdout_that_cannot_encode_a_character_gets_an_escape_and_no_traceback(tmp_path, corpus, argv, shown):
+    shutil.copytree(corpus, tmp_path, dirs_exist_ok=True)
+    odd = {"id": "q\u4e00", "question": "Where?", "context": "abc", "answers": [], "relation": None,
+           "subject_entity": None, "origin": "squad_positive", "split": "train"}
+    (tmp_path / "odd.jsonl").write_text(json.dumps(odd, ensure_ascii=False) + "\n", encoding="utf-8")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    runs = {}
+    for encoding in ("utf-8", "ascii", "latin-1"):
+        runs[encoding] = subprocess.run([sys.executable, "-m", "slotqa", *argv.split()], cwd=tmp_path,
+                                        env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": encoding},
+                                        capture_output=True, timeout=120)
+    text = runs["utf-8"].stdout.decode("utf-8")
+    assert shown in text  # written raw on UTF-8
+    for encoding, proc in runs.items():
+        assert b"Traceback" not in proc.stderr
+        assert proc.returncode == runs["utf-8"].returncode == (1 if argv.startswith("validate") else 0)
+        assert proc.stdout == text.encode(encoding, "backslashreplace")
+
+
 def _closed_stdout(cwd: Path, argv: str, buffered: bool) -> subprocess.CompletedProcess:
     """Run a step whose stdout's reader has gone, as after `| head -c 0`: every write fails with EPIPE."""
     read_end, write_end = os.pipe()

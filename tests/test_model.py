@@ -1,7 +1,9 @@
 import ast
+import enum
 import json
 import random
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -32,11 +34,12 @@ from slotqa import (
     validate_dataset,
     write_dataset,
     write_instances,
+    write_predictions,
 )
 from slotqa import model
 from slotqa.model import decode_line, read_lines, read_predictions, sidecar_path
 
-from helpers import make_dataset, make_instance
+from helpers import make_dataset, make_instance, oracle_dumps_line
 
 
 def test_negative_means_empty_answers():
@@ -96,6 +99,23 @@ def test_validate_is_total_on_garbage_spans():
     assert "span_matches_context" in invariants
     assert "span_start_nonnegative" in invariants
     assert "span_text_nonempty" in invariants
+
+
+def test_validate_checks_a_no_answer_adaptation_against_the_dataset_s_own_token():
+    plain = make_dataset(make_instance(), make_instance(id="n", answers=()))
+    adapted, _ = insert_no_answer_token(plain)
+    assert validate_dataset(adapted) == []
+    pos, neg = adapted.instances
+    broken = adapted._replace(instances=(plain.instances[0], neg._replace(answers=())))
+    assert validate_dataset(broken) == [
+        ("i0", "no_answer_token_prefix", "context does not start with 'NoAnswerFound '"),
+        ("n", "negative_no_answer_sentinel", "origin 'squad_negative' requires the no-answer span"
+                                             " 'NoAnswerFound' at offset 0"),
+    ]
+    # a token to score with asks an unadapted dataset for no prefix, and its sentinel
+    # stands in for the dataset's own in the rule for a negative's answers
+    assert validate_dataset(plain, "X") == []
+    assert [v.invariant for v in validate_dataset(adapted, "X")] == ["negative_origin_empty_answers"]
 
 
 def test_instance_dict_field_order_and_shape():
@@ -619,3 +639,149 @@ def test_decode_line_agrees_with_json_loads(text):
     else:
         # repr tells 1 from 1.0 and True, -0.0 from 0.0, and shows NaN
         assert repr(decode_line(text)) == repr(want)
+
+
+# --- the line encoder and the parsers' fast paths against dumb oracles ---
+
+
+class _Start(enum.IntEnum):
+    ONE = 1
+
+
+class _Text(str):
+    """A str subclass: json.dumps writes it as a string, the encoder's exact checks refuse it."""
+
+
+# what JSON escapes and what it writes raw: quotes, backslashes, controls, DEL, U+2028/9,
+# non-BMP characters
+_AWKWARD = st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u2028", "\u2029",
+                            "\U0001F600", "\U00010000", "\u00e9", "\u4e00"])
+_TEXT = st.text(alphabet=st.one_of(st.characters(), _AWKWARD), max_size=12)
+# a lone surrogate is encoded too, but cannot be written to a UTF-8 file
+_ANY_TEXT = st.text(alphabet=st.one_of(st.characters(), _AWKWARD, st.just("\ud800")), max_size=12)
+_CANONICAL = st.builds(Instance, _ANY_TEXT, _ANY_TEXT, _ANY_TEXT,
+                       st.lists(st.builds(Span, st.integers(), _ANY_TEXT), max_size=3).map(tuple),
+                       st.none() | _ANY_TEXT, st.none() | _ANY_TEXT, _ANY_TEXT, _ANY_TEXT)
+# values of a type that takes json.dumps's way: a str subclass, an int, a bool
+_ODD = st.one_of(_TEXT.map(_Text), st.integers(), st.booleans())
+_ODD_START = st.one_of(st.booleans(), st.just(_Start.ONE), st.floats(allow_nan=False))
+
+
+@st.composite
+def _instances(draw):
+    """An instance of the canonical types, or one with a field or a span of another type."""
+    inst = draw(_CANONICAL)
+    odd = draw(st.sampled_from([None, "start", "text", "span", *Instance._fields]))
+    if odd == "answers":
+        return inst._replace(answers=list(inst.answers))
+    if odd in ("start", "text", "span"):
+        answers = inst.answers or (Span(0, "x"),)
+        i = draw(st.integers(0, len(answers) - 1))
+        if odd == "span":  # a plain tuple: instance_to_dict reads span.start, so no line is written
+            span = tuple(answers[i])
+        else:
+            span = answers[i]._replace(**{odd: draw(_ODD_START if odd == "start" else _ODD)})
+        return inst._replace(answers=answers[:i] + (span,) + answers[i + 1:])
+    return inst if odd is None else inst._replace(**{odd: draw(_ODD)})
+
+
+def _outcome(function, value):
+    """``function(value)``, or the name of the exception it raises."""
+    try:
+        return function(value)
+    except Exception as e:
+        return type(e).__name__
+
+
+@settings(max_examples=500, deadline=None)
+@given(_instances())
+def test_dumps_instance_writes_the_oracle_line(inst):
+    assert _outcome(dumps_instance, inst) == _outcome(oracle_dumps_line, inst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(Prediction, _TEXT | _ODD, st.none() | _TEXT | _ODD), max_size=4))
+def test_write_predictions_writes_the_oracle_lines(predictions):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "preds.jsonl"
+        write_predictions(predictions, path)
+        assert path.read_bytes() == "".join(oracle_dumps_line(p) + "\n" for p in predictions).encode("utf-8")
+
+
+class _Slow(dict):
+    """A decoded object that the exact-type checks refuse, so the checks that word errors read it."""
+
+
+def _parsed(parse, obj):
+    """What ``parse`` makes of ``obj``: the record's repr (which tells 1 from True), or the error."""
+    try:
+        return repr(parse(obj))
+    except ParseError as e:
+        return f"ParseError: {e}"
+
+
+_KEYS = st.sampled_from(["bogus", "end", "start", "text", "answers", "id", "answer", "split"])
+
+
+@st.composite
+def _mutated(draw, value):
+    """``value``, a decoded object, with up to three of its keys or values changed, renamed,
+    dropped, added or reordered, at its top level or in one of its elements."""
+    for _ in range(draw(st.integers(0, 2))):
+        target = value
+        if isinstance(value.get("answers"), list) and value["answers"] and draw(st.booleans()):
+            i = draw(st.integers(0, len(value["answers"]) - 1))
+            if not isinstance(value["answers"][i], dict) or not draw(st.integers(0, 5)):
+                value["answers"][i] = draw(_JSON_VALUES)
+                continue
+            target = value["answers"][i]
+        kind = draw(st.sampled_from(["set", "set", "set", "rename", "rename", "drop", "add", "reorder"]))
+        keys = list(target)
+        if kind == "set" and keys:
+            target[draw(st.sampled_from(keys))] = draw(_JSON_VALUES)
+        elif kind == "rename" and keys:  # the value stays in its place
+            old, new = draw(st.sampled_from(keys)), draw(_KEYS.filter(lambda key: key not in target))
+            items = [(new if key == old else key, item) for key, item in target.items()]
+            target.clear()
+            target.update(items)
+        elif kind == "drop" and keys:
+            del target[draw(st.sampled_from(keys))]
+        elif kind == "add":
+            target[draw(_KEYS)] = draw(_JSON_VALUES)
+        elif kind == "reorder":
+            items = draw(st.permutations(list(target.items())))
+            target.clear()
+            target.update(items)
+    return value
+
+
+_KINDS_OF_VALUE = [None, True, 0, 1.5, "x", [], {}]
+
+
+@pytest.mark.parametrize("value", _KINDS_OF_VALUE, ids=repr)
+@pytest.mark.parametrize("field", [*Instance._fields, "start", "text"])
+def test_parse_instance_reads_each_field_of_each_kind_as_its_worded_checks_do(field, value):
+    obj = json.loads(oracle_dumps_line(make_instance()))
+    (obj["answers"][0] if field in ("start", "text") else obj)[field] = value
+    assert _parsed(model._parse_instance, obj) == _parsed(model._parse_instance, _Slow(obj))
+
+
+@pytest.mark.parametrize("value", _KINDS_OF_VALUE, ids=repr)
+@pytest.mark.parametrize("field", ["id", "answer"])
+def test_parse_prediction_reads_each_field_of_each_kind_as_its_worded_checks_do(field, value):
+    obj = {"id": "i0", "answer": None, field: value}
+    assert _parsed(model._parse_prediction, obj) == _parsed(model._parse_prediction, _Slow(obj))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_CANONICAL.filter(lambda inst: inst.answers)
+       .map(lambda inst: json.loads(oracle_dumps_line(inst))).flatmap(_mutated))
+def test_parse_instance_agrees_with_its_worded_checks(obj):
+    assert _parsed(model._parse_instance, obj) == _parsed(model._parse_instance, _Slow(obj))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(Prediction, _ANY_TEXT, st.none() | _ANY_TEXT)
+       .map(lambda pred: json.loads(oracle_dumps_line(pred))).flatmap(_mutated))
+def test_parse_prediction_agrees_with_its_worded_checks(obj):
+    assert _parsed(model._parse_prediction, obj) == _parsed(model._parse_prediction, _Slow(obj))
