@@ -35,8 +35,7 @@ DEFAULT_NO_ANSWER_TOKEN = "NoAnswerFound"
 # checked in this order, so a record with several bad fields names the same one
 _STRING_FIELDS = ("id", "question", "context", "origin", "split")
 _SPAN_FIELD_SET = frozenset({"start", "text"})
-_PREDICTION_FIELDS = ("id", "answer")  # a prediction line's keys, in order
-_PREDICTION_FIELD_SET = frozenset(_PREDICTION_FIELDS)
+_PREDICTION_FIELD_SET = frozenset({"id", "answer"})
 
 
 class ParseError(ValueError):
@@ -337,61 +336,39 @@ def instance_to_dict(inst: Instance) -> dict:
 _quote = json.encoder.encode_basestring
 
 
-def dumps_instance(inst: Instance) -> str:
-    """The canonical line of ``inst``, without its newline: ``json.dumps(instance_to_dict(inst),
-    ensure_ascii=False)``, that is the fields in ``Instance._fields`` order, ``", "`` and ``": "``
-    between items, non-ASCII written raw and ``null`` for an absent relation or subject.
+def _json(value: Any) -> str:
+    """``value`` as ``json.dumps(value, ensure_ascii=False)`` writes it, alone or inside a line."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if value is None:
+        return "null"
+    if kind is int:
+        return repr(value)
+    return json.dumps(value, ensure_ascii=False)  # a bool, a subclass, anything else
 
-    An instance whose every field has its exact canonical type (each string a ``str``, each
-    answer a ``Span`` of an ``int`` and a ``str``) is written by hand with json's own
-    escaper; any other goes through ``json.dumps``, so the bytes are the same either way.
+
+def _span_json(span: Span) -> str:
+    return f'{{"start": {_json(span.start)}, "text": {_json(span.text)}}}'
+
+
+def dumps_instance(inst: Instance) -> str:
+    """The canonical line of ``inst``, without its newline: the same bytes as
+    ``json.dumps(instance_to_dict(inst), ensure_ascii=False)``, that is the fields in
+    ``Instance._fields`` order, ``", "`` and ``": "`` between items, non-ASCII written
+    raw and ``null`` for an absent relation or subject.
+
+    The line is built from the fields with no dict: each value goes through ``_json``.
     """
     id_, question, context, answers, relation, subject, origin, split = inst
-    # a chain of `is`: all five are of one type, and that type is str
-    if (type(id_) is type(question) is type(context) is type(origin) is type(split) is str
-            and (relation is None or type(relation) is str)
-            and (subject is None or type(subject) is str)
-            and type(answers) is tuple):
-        spans = []
-        for span in answers:
-            if type(span) is not Span:
-                break
-            start, text = span
-            if type(start) is not int or type(text) is not str:
-                break
-            spans.append(f'{{"start": {start}, "text": {_quote(text)}}}')
-        else:
-            return (f'{{"id": {_quote(id_)}, "question": {_quote(question)}, "context": {_quote(context)},'
-                    f' "answers": [{", ".join(spans)}],'
-                    f' "relation": {"null" if relation is None else _quote(relation)},'
-                    f' "subject_entity": {"null" if subject is None else _quote(subject)},'
-                    f' "origin": {_quote(origin)}, "split": {_quote(split)}}}')
-    return json.dumps(instance_to_dict(inst), ensure_ascii=False)
+    return (f'{{"id": {_json(id_)}, "question": {_json(question)}, "context": {_json(context)},'
+            f' "answers": [{", ".join(map(_span_json, answers))}],'
+            f' "relation": {_json(relation)}, "subject_entity": {_json(subject)},'
+            f' "origin": {_json(origin)}, "split": {_json(split)}}}')
 
 
 def _parse_instance(obj: Any) -> Instance:
-    """An Instance from a decoded JSON value; a ParseError says what is wrong, not where.
-
-    A canonical line's value passes one chain of exact-type checks; any other
-    value goes through the checks below, which word the error.
-    """
-    if type(obj) is dict and tuple(obj) == Instance._fields:
-        id_, question, context, answers, relation, subject, origin, split = obj.values()
-        if (type(id_) is type(question) is type(context) is type(origin) is type(split) is str
-                and (relation is None or type(relation) is str)
-                and (subject is None or type(subject) is str)
-                and type(answers) is list):
-            spans = []
-            for span in answers:
-                if type(span) is not dict or tuple(span) != Span._fields:
-                    break
-                start, text = span.values()
-                if type(start) is not int or type(text) is not str:
-                    break
-                spans.append(Span(start, text))
-            else:
-                return Instance(id_, question, context, tuple(spans), relation and sys.intern(relation),
-                                subject, sys.intern(origin), sys.intern(split))
+    """An Instance from a decoded JSON value; a ParseError says what is wrong, not where."""
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object")
     if obj.keys() != _INSTANCE_FIELD_SET:
@@ -643,25 +620,14 @@ def load_dataset(path: str | Path) -> Dataset:
 
 
 def write_predictions(predictions: Iterable[Prediction], path: str | Path, sidecar=None) -> None:
-    """One line per prediction: ``json.dumps({"id": ..., "answer": ...}, ensure_ascii=False)``.
-
-    As in :func:`dumps_instance`, a ``str`` id with a ``str`` or None answer is
-    written by hand with json's own escaper, and anything else by ``json.dumps``.
-    """
+    """One line per prediction, the bytes of ``json.dumps({"id": ..., "answer": ...},
+    ensure_ascii=False)``, built as :func:`dumps_instance` builds an instance's."""
     with atomic_output(path, sidecar=sidecar) as f:
-        for instance_id, answer in predictions:
-            if type(instance_id) is str and (answer is None or type(answer) is str):
-                text = "null" if answer is None else _quote(answer)
-                f.write(f'{{"id": {_quote(instance_id)}, "answer": {text}}}\n')
-            else:
-                f.write(json.dumps({"id": instance_id, "answer": answer}, ensure_ascii=False) + "\n")
+        for pred in predictions:
+            f.write(f'{{"id": {_json(pred.instance_id)}, "answer": {_json(pred.answer)}}}\n')
 
 
 def _parse_prediction(obj: Any) -> Prediction:
-    if type(obj) is dict and tuple(obj) == _PREDICTION_FIELDS:
-        instance_id, answer = obj.values()
-        if type(instance_id) is str and (answer is None or type(answer) is str):
-            return Prediction(instance_id, answer)
     if not isinstance(obj, dict) or obj.keys() != _PREDICTION_FIELD_SET:
         raise ParseError("expected an object with id and answer")
     return Prediction(expect(obj["id"], "a string", "field 'id'"),

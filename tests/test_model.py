@@ -641,7 +641,7 @@ def test_decode_line_agrees_with_json_loads(text):
         assert repr(decode_line(text)) == repr(want)
 
 
-# --- the line encoder and the parsers' fast paths against dumb oracles ---
+# --- the line encoder against a dumb oracle ---
 
 
 class _Start(enum.IntEnum):
@@ -649,7 +649,7 @@ class _Start(enum.IntEnum):
 
 
 class _Text(str):
-    """A str subclass: json.dumps writes it as a string, the encoder's exact checks refuse it."""
+    """A str subclass: json.dumps writes it as a string, and so must the encoder."""
 
 
 # what JSON escapes and what it writes raw: quotes, backslashes, controls, DEL, U+2028/9,
@@ -662,8 +662,9 @@ _ANY_TEXT = st.text(alphabet=st.one_of(st.characters(), _AWKWARD, st.just("\ud80
 _CANONICAL = st.builds(Instance, _ANY_TEXT, _ANY_TEXT, _ANY_TEXT,
                        st.lists(st.builds(Span, st.integers(), _ANY_TEXT), max_size=3).map(tuple),
                        st.none() | _ANY_TEXT, st.none() | _ANY_TEXT, _ANY_TEXT, _ANY_TEXT)
-# values of a type that takes json.dumps's way: a str subclass, an int, a bool
-_ODD = st.one_of(_TEXT.map(_Text), st.integers(), st.booleans())
+# values of another type than the field's: a str subclass, an int, a bool, a float, and a
+# list whose non-ASCII text must be written raw there too
+_ODD = st.one_of(_TEXT.map(_Text), st.integers(), st.booleans(), st.floats(), st.lists(_TEXT, max_size=2))
 _ODD_START = st.one_of(st.booleans(), st.just(_Start.ONE), st.floats(allow_nan=False))
 
 
@@ -677,7 +678,7 @@ def _instances(draw):
     if odd in ("start", "text", "span"):
         answers = inst.answers or (Span(0, "x"),)
         i = draw(st.integers(0, len(answers) - 1))
-        if odd == "span":  # a plain tuple: instance_to_dict reads span.start, so no line is written
+        if odd == "span":  # a plain tuple has no .start, so no line is written
             span = tuple(answers[i])
         else:
             span = answers[i]._replace(**{odd: draw(_ODD_START if odd == "start" else _ODD)})
@@ -706,82 +707,3 @@ def test_write_predictions_writes_the_oracle_lines(predictions):
         path = Path(directory) / "preds.jsonl"
         write_predictions(predictions, path)
         assert path.read_bytes() == "".join(oracle_dumps_line(p) + "\n" for p in predictions).encode("utf-8")
-
-
-class _Slow(dict):
-    """A decoded object that the exact-type checks refuse, so the checks that word errors read it."""
-
-
-def _parsed(parse, obj):
-    """What ``parse`` makes of ``obj``: the record's repr (which tells 1 from True), or the error."""
-    try:
-        return repr(parse(obj))
-    except ParseError as e:
-        return f"ParseError: {e}"
-
-
-_KEYS = st.sampled_from(["bogus", "end", "start", "text", "answers", "id", "answer", "split"])
-
-
-@st.composite
-def _mutated(draw, value):
-    """``value``, a decoded object, with up to three of its keys or values changed, renamed,
-    dropped, added or reordered, at its top level or in one of its elements."""
-    for _ in range(draw(st.integers(0, 2))):
-        target = value
-        if isinstance(value.get("answers"), list) and value["answers"] and draw(st.booleans()):
-            i = draw(st.integers(0, len(value["answers"]) - 1))
-            if not isinstance(value["answers"][i], dict) or not draw(st.integers(0, 5)):
-                value["answers"][i] = draw(_JSON_VALUES)
-                continue
-            target = value["answers"][i]
-        kind = draw(st.sampled_from(["set", "set", "set", "rename", "rename", "drop", "add", "reorder"]))
-        keys = list(target)
-        if kind == "set" and keys:
-            target[draw(st.sampled_from(keys))] = draw(_JSON_VALUES)
-        elif kind == "rename" and keys:  # the value stays in its place
-            old, new = draw(st.sampled_from(keys)), draw(_KEYS.filter(lambda key: key not in target))
-            items = [(new if key == old else key, item) for key, item in target.items()]
-            target.clear()
-            target.update(items)
-        elif kind == "drop" and keys:
-            del target[draw(st.sampled_from(keys))]
-        elif kind == "add":
-            target[draw(_KEYS)] = draw(_JSON_VALUES)
-        elif kind == "reorder":
-            items = draw(st.permutations(list(target.items())))
-            target.clear()
-            target.update(items)
-    return value
-
-
-_KINDS_OF_VALUE = [None, True, 0, 1.5, "x", [], {}]
-
-
-@pytest.mark.parametrize("value", _KINDS_OF_VALUE, ids=repr)
-@pytest.mark.parametrize("field", [*Instance._fields, "start", "text"])
-def test_parse_instance_reads_each_field_of_each_kind_as_its_worded_checks_do(field, value):
-    obj = json.loads(oracle_dumps_line(make_instance()))
-    (obj["answers"][0] if field in ("start", "text") else obj)[field] = value
-    assert _parsed(model._parse_instance, obj) == _parsed(model._parse_instance, _Slow(obj))
-
-
-@pytest.mark.parametrize("value", _KINDS_OF_VALUE, ids=repr)
-@pytest.mark.parametrize("field", ["id", "answer"])
-def test_parse_prediction_reads_each_field_of_each_kind_as_its_worded_checks_do(field, value):
-    obj = {"id": "i0", "answer": None, field: value}
-    assert _parsed(model._parse_prediction, obj) == _parsed(model._parse_prediction, _Slow(obj))
-
-
-@settings(max_examples=600, deadline=None)
-@given(_CANONICAL.filter(lambda inst: inst.answers)
-       .map(lambda inst: json.loads(oracle_dumps_line(inst))).flatmap(_mutated))
-def test_parse_instance_agrees_with_its_worded_checks(obj):
-    assert _parsed(model._parse_instance, obj) == _parsed(model._parse_instance, _Slow(obj))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.builds(Prediction, _ANY_TEXT, st.none() | _ANY_TEXT)
-       .map(lambda pred: json.loads(oracle_dumps_line(pred))).flatmap(_mutated))
-def test_parse_prediction_agrees_with_its_worded_checks(obj):
-    assert _parsed(model._parse_prediction, obj) == _parsed(model._parse_prediction, _Slow(obj))
